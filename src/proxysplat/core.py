@@ -15,6 +15,7 @@ PSNR_CAP = 99.0
 
 QUAT_NORM_TOL = 1e-6
 ROTATION_ORTHO_TOL = 1e-6
+COV_BLOCK = 8192  # rows per block of covariances_from_arrays
 
 
 def _as_f64(a, shape=None, name="array"):
@@ -89,13 +90,15 @@ class Gaussian3D:
         object.__setattr__(self, "color", _as_f64(self.color, (3,), "color"))
         if not np.all(np.isfinite(self.position)):
             raise ValueError("gaussian position must be finite")
-        if not np.all(self.scale > 0):
-            raise ValueError("gaussian scale components must be > 0")
-        if abs(np.linalg.norm(self.rotation) - 1.0) > QUAT_NORM_TOL:
+        # Every check is written so that NaN fails it: min and max return NaN
+        # when any component is NaN, and every comparison with NaN is False.
+        if not (0 < self.scale.min() and self.scale.max() < np.inf):
+            raise ValueError("gaussian scale components must be finite and > 0")
+        if not abs(np.linalg.norm(self.rotation) - 1.0) <= QUAT_NORM_TOL:
             raise ValueError("gaussian rotation must be a unit quaternion")
         if not (0.0 <= self.opacity <= 1.0):
             raise ValueError("gaussian opacity must be in [0, 1]")
-        if np.any(self.color < 0) or np.any(self.color > 1):
+        if not (0 <= self.color.min() and self.color.max() <= 1):
             raise ValueError("gaussian color must be in [0, 1]^3")
 
 
@@ -106,10 +109,32 @@ def quaternion_to_covariance(g: Gaussian3D) -> np.ndarray:
 
 
 def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray:
-    """(N,3) scales + (N,4) quaternions -> (N,3,3) covariances."""
-    R = quats_to_rotations(quats)
-    S2 = np.asarray(scales, dtype=np.float64) ** 2
-    return np.einsum("nij,nj,nkj->nik", R, S2, R)
+    """(N,3) scales + (N,4) unit quaternions -> (N,3,3) covariances.
+
+    Each covariance is R diag(s^2) R^T = M M^T with M = R diag(s), so entry
+    (i, j) is the dot product of rows i and j of M. The rows are handled in
+    blocks of COV_BLOCK: a block's rotations, M and products stay in cache,
+    and no full-size temporary is allocated besides the output. Only the six
+    unique entries are computed; each is written at (i, j) and (j, i), so
+    the result is exactly symmetric.
+    """
+    q = np.asarray(quats)
+    s = np.asarray(scales)
+    if s.shape != (len(q), 3):
+        raise ValueError(f"scales: expected shape {(len(q), 3)}, got {s.shape}")
+    out = np.empty((len(q), 3, 3))
+    for lo in range(0, len(q), COV_BLOCK):
+        M = quats_to_rotations(q[lo:lo + COV_BLOCK])
+        M *= s[lo:lo + COV_BLOCK, None, :]
+        block = out[lo:lo + COV_BLOCK]
+        for i in range(3):
+            for j in range(i, 3):
+                v = M[:, i, 0] * M[:, j, 0]
+                v += M[:, i, 1] * M[:, j, 1]
+                v += M[:, i, 2] * M[:, j, 2]
+                block[:, i, j] = v
+                block[:, j, i] = v
+    return out
 
 
 @dataclass(frozen=True)
@@ -142,16 +167,20 @@ class GaussianSet:
             object.__setattr__(self, "building_ids", ids)
 
     def validate(self) -> None:
+        if len(self) == 0:
+            return  # min and max below are undefined on empty arrays
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("positions must be finite")
-        if not np.all(self.scales > 0):
-            raise ValueError("scales must be > 0")
+        # Every check is written so that NaN fails it, as in Gaussian3D. The
+        # min/max reductions also make no full-size temporaries.
+        if not (0 < self.scales.min() and self.scales.max() < np.inf):
+            raise ValueError("scales must be finite and > 0")
         norms = np.linalg.norm(self.rotations, axis=1)
-        if np.any(np.abs(norms - 1.0) > QUAT_NORM_TOL):
+        if not np.all(np.abs(norms - 1.0) <= QUAT_NORM_TOL):
             raise ValueError("rotations must be unit quaternions")
-        if np.any(self.opacities < 0) or np.any(self.opacities > 1):
+        if not (0 <= self.opacities.min() and self.opacities.max() <= 1):
             raise ValueError("opacities must be in [0, 1]")
-        if np.any(self.colors < 0) or np.any(self.colors > 1):
+        if not (0 <= self.colors.min() and self.colors.max() <= 1):
             raise ValueError("colors must be in [0, 1]")
 
     def __len__(self) -> int:
@@ -202,11 +231,16 @@ class GaussianSet:
 
     @staticmethod
     def concatenate(sets: Iterable["GaussianSet"]) -> "GaussianSet":
-        sets = [s for s in sets if len(s) > 0]
-        if not sets:
+        # Empty sets hold no rows, so whether they carry ids does not matter.
+        indexed = [(i, s) for i, s in enumerate(sets) if len(s) > 0]
+        if not indexed:
             return GaussianSet.empty()
-        have_ids = all(s.building_ids is not None for s in sets)
-        ids = np.concatenate([s.building_ids for s in sets]) if have_ids else None
+        missing = [i for i, s in indexed if s.building_ids is None]
+        if missing and len(missing) < len(indexed):
+            raise ValueError(f"concatenate: set {missing[0]} has no building_ids "
+                             "but other sets do")
+        sets = [s for _, s in indexed]
+        ids = None if missing else np.concatenate([s.building_ids for s in sets])
         return GaussianSet(
             np.concatenate([s.positions for s in sets]),
             np.concatenate([s.scales for s in sets]),
@@ -354,12 +388,17 @@ class Raster:
 
 
 def psnr(a, b) -> float:
-    """Peak signal-to-noise ratio in dB, peak 1.0, capped at 99 for zero MSE."""
+    """Peak signal-to-noise ratio in dB, peak 1.0, capped at 99 for zero MSE.
+
+    Raises ValueError when the shapes differ or the images hold NaN or inf.
+    """
     arr_a = a.data if isinstance(a, Raster) else np.asarray(a, dtype=np.float64)
     arr_b = b.data if isinstance(b, Raster) else np.asarray(b, dtype=np.float64)
     if arr_a.shape != arr_b.shape:
         raise ValueError(f"psnr: shape mismatch {arr_a.shape} vs {arr_b.shape}")
     mse = float(np.mean((arr_a - arr_b) ** 2))
+    if not np.isfinite(mse):
+        raise ValueError(f"psnr: mean squared error is {mse}; the images hold NaN or inf")
     if mse == 0.0:
         return PSNR_CAP
     return min(PSNR_CAP, 10.0 * np.log10(1.0 / mse))

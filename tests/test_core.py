@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from proxysplat.core import (
+    COV_BLOCK,
     CameraView,
     Gaussian3D,
     GaussianSet,
     Point3,
     Raster,
+    covariances_from_arrays,
     project_point,
     psnr,
     quat_to_rotation,
     quaternion_to_covariance,
+    quats_to_rotations,
 )
 
 
@@ -24,6 +28,26 @@ def _gaussian(position=(0, 0, 0), scale=(1, 1, 1), rotation=(1, 0, 0, 0),
 def _random_unit_quat(rng):
     q = rng.normal(size=4)
     return q / np.linalg.norm(q)
+
+
+def _einsum_covariances(scales, quats):
+    """Reference: the original one-shot kernel R diag(s^2) R^T."""
+    R = quats_to_rotations(quats)
+    S2 = np.asarray(scales, dtype=np.float64) ** 2
+    return np.einsum("nij,nj,nkj->nik", R, S2, R)
+
+
+def _random_params(rng, n):
+    quats = rng.normal(size=(n, 4))
+    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
+    return rng.uniform(1e-3, 10, (n, 3)), quats
+
+
+def _assert_matches_reference(scales, quats):
+    cov = covariances_from_arrays(scales, quats)
+    assert cov.shape == (len(quats), 3, 3)
+    assert np.abs(cov - _einsum_covariances(scales, quats)).max(initial=0.0) <= 1e-12
+    assert np.array_equal(cov, cov.transpose(0, 2, 1))
 
 
 class TestQuaternionToCovariance:
@@ -62,6 +86,36 @@ class TestQuaternionToCovariance:
             assert np.allclose(eig, np.sort(scale**2), atol=1e-9)
 
 
+class TestCovarianceKernel:
+    @pytest.mark.parametrize(
+        "n", [0, 1, COV_BLOCK - 1, COV_BLOCK, COV_BLOCK + 1, 3 * COV_BLOCK + 5])
+    def test_matches_einsum_across_block_edges(self, n):
+        _assert_matches_reference(*_random_params(np.random.default_rng(n), n))
+
+    def test_strided_and_float32_inputs(self):
+        scales, quats = _random_params(np.random.default_rng(11), 2 * COV_BLOCK + 3)
+        wide = np.hstack([quats, scales])  # column slices of this are strided views
+        strided_quats, strided_scales = wide[:, :4], wide[:, 4:]
+        assert not strided_quats.flags.c_contiguous
+        _assert_matches_reference(strided_scales, strided_quats)
+        _assert_matches_reference(scales[::-1], quats[::-1])
+        _assert_matches_reference(scales.astype(np.float32), quats.astype(np.float32))
+
+    def test_rejects_mismatched_scales(self):
+        scales, quats = _random_params(np.random.default_rng(12), 5)
+        with pytest.raises(ValueError):
+            covariances_from_arrays(scales[:1], quats)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 40), data=st.data())
+    def test_property_random_unit_quats_and_scales(self, n, data):
+        quats = data.draw(hnp.arrays(np.float64, (n, 4), elements=st.floats(-1, 1)))
+        norms = np.linalg.norm(quats, axis=1, keepdims=True)
+        assume(np.all(norms > 0.1))
+        scales = data.draw(hnp.arrays(np.float64, (n, 3), elements=st.floats(1e-3, 10)))
+        _assert_matches_reference(scales, quats / norms)
+
+
 class TestGaussianInvariants:
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
@@ -78,6 +132,14 @@ class TestGaussianInvariants:
     def test_rejects_color_out_of_range(self):
         with pytest.raises(ValueError):
             _gaussian(color=(1.2, 0, 0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["position", "scale", "rotation", "opacity", "color"])
+    def test_rejects_non_finite(self, field, bad):
+        kwargs = {"opacity": bad} if field == "opacity" else {
+            field: np.r_[bad, getattr(_gaussian(), field)[1:]]}
+        with pytest.raises(ValueError):
+            _gaussian(**kwargs)
 
     def test_point3_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -157,6 +219,17 @@ class TestPsnr:
         b = Raster.full(8, 8, 0.5)
         assert psnr(a, b) == pytest.approx(10 * np.log10(4.0), abs=1e-9)
 
+    def test_all_nan_image_errors(self):
+        with pytest.raises(ValueError):
+            psnr(Raster.full(8, 8, np.nan), Raster.full(8, 8, 0.5))
+
+    def test_single_inf_pixel_errors(self):
+        a = np.full((8, 8, 3), 0.5)
+        b = a.copy()
+        b[3, 4, 1] = np.inf
+        with pytest.raises(ValueError):
+            psnr(a, b)
+
     def test_dimension_mismatch_errors(self):
         with pytest.raises(ValueError):
             psnr(Raster.full(8, 8, 0.0), Raster.full(8, 9, 0.0))
@@ -218,6 +291,28 @@ class TestGaussianSet:
         merged = GaussianSet.concatenate([sub, gs.select(gs.building_ids == 2)])
         assert len(merged) == 3
         assert merged.building_ids.tolist() == [1, 1, 2]
+
+    def test_concatenate_rejects_sets_without_ids_among_sets_with_ids(self):
+        with_ids = GaussianSet.from_gaussians([_gaussian()], building_ids=np.array([3]))
+        without = GaussianSet.from_gaussians([_gaussian()])
+        assert GaussianSet.concatenate([GaussianSet.empty(), with_ids]).building_ids.tolist() == [3]
+        with pytest.raises(ValueError, match="set 2 "):
+            GaussianSet.concatenate([with_ids, GaussianSet.empty(), without, without])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["positions", "scales", "rotations", "opacities", "colors"])
+    def test_validate_rejects_non_finite(self, field, bad):
+        gs = GaussianSet.from_gaussians([_gaussian(), _gaussian(color=(0.5, 0.5, 0.5))])
+        gs.validate()
+        arrays = {name: getattr(gs, name).copy() for name in
+                  ("positions", "scales", "rotations", "opacities", "colors")}
+        arrays[field].reshape(-1)[-1] = bad
+        with pytest.raises(ValueError):
+            GaussianSet(**arrays).validate()
+
+    def test_validate_accepts_empty_set(self):
+        GaussianSet.empty().validate()
+        GaussianSet.empty(with_ids=True).validate()
 
     def test_validate_flags_bad_rows(self):
         gs = GaussianSet(
