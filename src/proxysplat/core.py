@@ -38,20 +38,27 @@ def quat_to_rotation(q) -> np.ndarray:
 
 
 def quats_to_rotations(quats: np.ndarray) -> np.ndarray:
-    """Vectorized (N,4) unit quaternions -> (N,3,3) rotation matrices."""
+    """Vectorized (N,4) unit quaternions -> (N,3,3) rotation matrices.
+
+    The result is stored entry-major: it is the (N,3,3) transpose of a
+    (3,3,N) buffer, so each entry R[:, i, j] over all rows is contiguous and
+    the nine entries are written from contiguous columns w, x, y, z.
+    """
     q = np.asarray(quats, dtype=np.float64)
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    R = np.empty((len(q), 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - w * z)
-    R[:, 0, 2] = 2 * (x * z + w * y)
-    R[:, 1, 0] = 2 * (x * y + w * z)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - w * x)
-    R[:, 2, 0] = 2 * (x * z - w * y)
-    R[:, 2, 1] = 2 * (y * z + w * x)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return R
+    if q.ndim != 2 or q.shape[1] != 4:
+        raise ValueError(f"quats: expected shape (N, 4), got {q.shape}")
+    w, x, y, z = q.T.copy()
+    R = np.empty((3, 3, len(q)))
+    R[0, 0] = 1 - 2 * (y * y + z * z)
+    R[0, 1] = 2 * (x * y - w * z)
+    R[0, 2] = 2 * (x * z + w * y)
+    R[1, 0] = 2 * (x * y + w * z)
+    R[1, 1] = 1 - 2 * (x * x + z * z)
+    R[1, 2] = 2 * (y * z - w * x)
+    R[2, 0] = 2 * (x * z - w * y)
+    R[2, 1] = 2 * (y * z + w * x)
+    R[2, 2] = 1 - 2 * (x * x + y * y)
+    return R.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -114,26 +121,29 @@ def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray
     Each covariance is R diag(s^2) R^T = M M^T with M = R diag(s), so entry
     (i, j) is the dot product of rows i and j of M. The rows are handled in
     blocks of COV_BLOCK: a block's rotations, M and products stay in cache,
-    and no full-size temporary is allocated besides the output. Only the six
-    unique entries are computed; each is written at (i, j) and (j, i), so
-    the result is exactly symmetric.
+    and no full-size temporary is allocated besides the output. M is kept
+    entry-major, (3,3,B), so each product reads contiguous rows M[i, k].
+    Only the six unique entries are computed; each is written at (i, j) and
+    (j, i), so the result is exactly symmetric.
     """
     q = np.asarray(quats)
     s = np.asarray(scales)
-    if s.shape != (len(q), 3):
-        raise ValueError(f"scales: expected shape {(len(q), 3)}, got {s.shape}")
-    out = np.empty((len(q), 3, 3))
-    for lo in range(0, len(q), COV_BLOCK):
-        M = quats_to_rotations(q[lo:lo + COV_BLOCK])
-        M *= s[lo:lo + COV_BLOCK, None, :]
-        block = out[lo:lo + COV_BLOCK]
+    n = len(q)
+    if s.shape != (n, 3):
+        raise ValueError(f"scales: expected shape {(n, 3)}, got {s.shape}")
+    out = np.empty((n, 3, 3))
+    flat = out.reshape(n, 9)
+    for lo in range(0, n, COV_BLOCK):
+        hi = lo + COV_BLOCK
+        M = quats_to_rotations(q[lo:hi]).transpose(1, 2, 0)
+        M *= s[lo:hi].T
         for i in range(3):
             for j in range(i, 3):
-                v = M[:, i, 0] * M[:, j, 0]
-                v += M[:, i, 1] * M[:, j, 1]
-                v += M[:, i, 2] * M[:, j, 2]
-                block[:, i, j] = v
-                block[:, j, i] = v
+                v = M[i, 0] * M[j, 0]
+                v += M[i, 1] * M[j, 1]
+                v += M[i, 2] * M[j, 2]
+                flat[lo:hi, 3 * i + j] = v
+                flat[lo:hi, 3 * j + i] = v
     return out
 
 
@@ -175,7 +185,8 @@ class GaussianSet:
         # min/max reductions also make no full-size temporaries.
         if not (0 < self.scales.min() and self.scales.max() < np.inf):
             raise ValueError("scales must be finite and > 0")
-        norms = np.linalg.norm(self.rotations, axis=1)
+        q = self.rotations
+        norms = np.sqrt(np.einsum("ij,ij->i", q, q))
         if not np.all(np.abs(norms - 1.0) <= QUAT_NORM_TOL):
             raise ValueError("rotations must be unit quaternions")
         if not (0 <= self.opacities.min() and self.opacities.max() <= 1):
@@ -273,13 +284,18 @@ class CameraView:
     def __post_init__(self):
         object.__setattr__(self, "rotation", _as_f64(self.rotation, (3, 3), "rotation"))
         object.__setattr__(self, "translation", _as_f64(self.translation, (3,), "translation"))
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be > 0")
+        # Every check is written so that NaN fails it, as in Gaussian3D.
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError("focal lengths must be finite and > 0")
         if not (-0.5 <= self.cx <= self.width - 0.5 and -0.5 <= self.cy <= self.height - 0.5):
             raise ValueError("principal point must lie inside the image")
+        if not (np.isfinite(self.rotation).all() and np.isfinite(self.translation).all()):
+            raise ValueError("extrinsic rotation and translation must be finite")
         err = np.abs(self.rotation @ self.rotation.T - np.eye(3)).max()
-        if err > ROTATION_ORTHO_TOL:
+        if not err <= ROTATION_ORTHO_TOL:
             raise ValueError("extrinsic rotation must be orthonormal")
+        if not np.linalg.det(self.rotation) > 0:
+            raise ValueError("extrinsic rotation must have det +1, not be a reflection")
         if self.image is not None:
             img = np.asarray(self.image, dtype=np.float64)
             if img.shape != (self.height, self.width, 3):
@@ -295,7 +311,9 @@ class CameraView:
 
     def to_camera(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return pts @ self.rotation.T + self.translation
+        cam = pts @ self.rotation.T
+        cam += self.translation
+        return cam
 
     def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project (N,3) world points; returns ((N,2) pixels, (N,) depths).
@@ -306,9 +324,15 @@ class CameraView:
         cam = self.to_camera(points)
         z = cam[:, 2]
         safe_z = np.where(z == 0.0, np.finfo(np.float64).tiny, z)
-        px = self.fx * cam[:, 0] / safe_z + self.cx
-        py = self.fy * cam[:, 1] / safe_z + self.cy
-        return np.stack([px, py], axis=1), z
+        pix = np.empty((len(cam), 2))
+        px, py = pix.T
+        np.multiply(self.fx, cam[:, 0], out=px)
+        px /= safe_z
+        px += self.cx
+        np.multiply(self.fy, cam[:, 1], out=py)
+        py /= safe_z
+        py += self.cy
+        return pix, z
 
     def unproject(self, pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
         """Inverse of project: pixel + camera-space depth -> world point."""
@@ -330,7 +354,10 @@ class CameraView:
             raise ValueError("eye and target coincide")
         forward = forward / norm
         up = _as_f64(up, (3,), "up")
-        if abs(np.dot(forward, up) / np.linalg.norm(up)) > 0.999:
+        up_norm = np.linalg.norm(up)
+        if not 0 < up_norm < np.inf:
+            raise ValueError(f"up must be a finite, non-zero vector, got {up}")
+        if abs(np.dot(forward, up) / up_norm) > 0.999:
             up = np.array([1.0, 0.0, 0.0])
         right = np.cross(forward, up)
         right /= np.linalg.norm(right)

@@ -43,6 +43,11 @@ def _random_params(rng, n):
     return rng.uniform(1e-3, 10, (n, 3)), quats
 
 
+def _loop_rotations(quats):
+    """Reference: the per-quaternion formula applied row by row."""
+    return np.array([quat_to_rotation(q) for q in quats]).reshape(-1, 3, 3)
+
+
 def _assert_matches_reference(scales, quats):
     cov = covariances_from_arrays(scales, quats)
     assert cov.shape == (len(quats), 3, 3)
@@ -84,6 +89,22 @@ class TestQuaternionToCovariance:
             assert np.allclose(cov, cov.T, atol=1e-12)
             eig = np.sort(np.linalg.eigvalsh(cov))
             assert np.allclose(eig, np.sort(scale**2), atol=1e-9)
+
+
+class TestRotationKernel:
+    @pytest.mark.parametrize("n", [0, 1, 5, COV_BLOCK + 1])
+    def test_matches_per_quaternion_formula(self, n):
+        scales, quats = _random_params(np.random.default_rng(n), n)
+        strided = np.hstack([scales, quats])[:, 3:]
+        for q in (quats, quats.astype(np.float32), strided):
+            R = quats_to_rotations(q)
+            assert R.shape == (n, 3, 3)
+            assert np.array_equal(R, _loop_rotations(q))
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 5)])
+    def test_rejects_shapes_other_than_n_by_4(self, shape):
+        with pytest.raises(ValueError):
+            quats_to_rotations(np.ones(shape))
 
 
 class TestCovarianceKernel:
@@ -188,6 +209,29 @@ class TestProjectPoint:
         assert np.allclose(pix, (50, 50), atol=1e-9)
 
 
+class TestProject:
+    def test_matches_reference_expression(self):
+        # A cyclic permutation of the axes, so camera z = world x + 2 exactly.
+        permuted = CameraView(np.array([[0.0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+                              np.array([0.5, -1.0, 2.0]), 120.0, 110.0, 64.0, 48.0, 128, 96)
+        oblique = CameraView.look_at((4, -3, 2), (0, 0, 0), 120.0, 110.0, 64.0, 48.0, 128, 96)
+        points = np.random.default_rng(8).uniform(-5, 5, (20, 3))
+        points[0] = (-2.0, -0.5 + 2.0**-30, 1.0)  # on the camera plane of `permuted`
+        points[1] = (-5.0, 1.0, 2.0)  # behind `permuted`
+        for view in (permuted, oblique):
+            cam = points @ view.rotation.T + view.translation
+            x, y, z = cam.T
+            safe_z = np.where(z == 0.0, np.finfo(np.float64).tiny, z)
+            expected = np.stack([view.fx * x / safe_z + view.cx,
+                                 view.fy * y / safe_z + view.cy], axis=1)
+            pix, depth = view.project(points)
+            assert np.array_equal(pix, expected)
+            assert np.array_equal(depth, z)
+        pix, depth = permuted.project(points[:2])
+        assert depth[0] == 0.0 and depth[1] < 0.0
+        assert np.all(np.isfinite(pix))
+
+
 class TestCameraInvariants:
     def test_rejects_nonpositive_focal(self):
         with pytest.raises(ValueError):
@@ -202,6 +246,34 @@ class TestCameraInvariants:
         R[0, 1] = 0.2
         with pytest.raises(ValueError):
             CameraView(R, np.zeros(3), 100, 100, 50, 50, 100, 100)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
+    def test_rejects_non_finite_intrinsics(self, field, bad):
+        intrinsics = {"fx": 100.0, "fy": 100.0, "cx": 50.0, "cy": 50.0, field: bad}
+        with pytest.raises(ValueError):
+            CameraView(np.eye(3), np.zeros(3), width=100, height=100, **intrinsics)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rotation(self, bad):
+        R = np.eye(3)
+        R[1, 2] = bad
+        with pytest.raises(ValueError):
+            CameraView(R, np.zeros(3), 100, 100, 50, 50, 100, 100)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_translation(self, bad):
+        with pytest.raises(ValueError):
+            CameraView(np.eye(3), np.array([0.0, bad, 0.0]), 100, 100, 50, 50, 100, 100)
+
+    def test_rejects_reflection(self):
+        with pytest.raises(ValueError):
+            CameraView(np.diag([1.0, 1.0, -1.0]), np.zeros(3), 100, 100, 50, 50, 100, 100)
+
+    def test_look_at_rejects_zero_up(self):
+        # errstate makes a 0/0 on the way raise FloatingPointError, not ValueError.
+        with np.errstate(all="raise"), pytest.raises(ValueError):
+            CameraView.look_at((3, 2, 1), (0, 0, 0), 100, 100, 50, 50, 100, 100, up=(0, 0, 0))
 
 
 class TestPsnr:
