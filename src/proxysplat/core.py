@@ -124,27 +124,32 @@ def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray
     and no full-size temporary is allocated besides the output. M is kept
     entry-major, (3,3,B), so each product reads contiguous rows M[i, k].
     Only the six unique entries are computed; each is written at (i, j) and
-    (j, i), so the result is exactly symmetric.
+    copied to (j, i), so the result is exactly symmetric.
+
+    The result is stored entry-major too: it is the (N,3,3) transpose of a
+    (3,3,N) buffer, so each entry over all rows is contiguous and every store
+    is a contiguous run. Only the strides differ from a C-ordered (N,3,3)
+    array; the values are the same.
     """
     q = np.asarray(quats)
     s = np.asarray(scales)
     n = len(q)
     if s.shape != (n, 3):
         raise ValueError(f"scales: expected shape {(n, 3)}, got {s.shape}")
-    out = np.empty((n, 3, 3))
-    flat = out.reshape(n, 9)
+    out = np.empty((3, 3, n))
     for lo in range(0, n, COV_BLOCK):
         hi = lo + COV_BLOCK
         M = quats_to_rotations(q[lo:hi]).transpose(1, 2, 0)
         M *= s[lo:hi].T
         for i in range(3):
             for j in range(i, 3):
-                v = M[i, 0] * M[j, 0]
+                v = out[i, j, lo:hi]
+                np.multiply(M[i, 0], M[j, 0], out=v)
                 v += M[i, 1] * M[j, 1]
                 v += M[i, 2] * M[j, 2]
-                flat[lo:hi, 3 * i + j] = v
-                flat[lo:hi, 3 * j + i] = v
-    return out
+                if i != j:
+                    out[j, i, lo:hi] = v
+    return out.transpose(2, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -152,6 +157,11 @@ class GaussianSet:
     """Columnar set of gaussians; the workhorse container for rendering.
 
     building_ids uses 0 for surround gaussians, positive ids for buildings.
+
+    The fields are read-only views, so writing through `gs.scales[...]`
+    raises ValueError. Arrays the caller passes in that are already float64
+    (int32 for building_ids) are not copied: the set views the caller's
+    memory, so the caller must not mutate those arrays afterwards.
     """
 
     positions: np.ndarray  # (N, 3)
@@ -163,18 +173,18 @@ class GaussianSet:
 
     def __post_init__(self):
         n = len(np.asarray(self.positions))
-        object.__setattr__(self, "positions", _as_f64(self.positions, (n, 3), "positions"))
-        object.__setattr__(self, "scales", _as_f64(self.scales, (n, 3), "scales"))
-        object.__setattr__(self, "rotations", _as_f64(self.rotations, (n, 4), "rotations"))
-        object.__setattr__(
-            self, "opacities", _as_f64(self.opacities, (n,), "opacities")
-        )
-        object.__setattr__(self, "colors", _as_f64(self.colors, (n, 3), "colors"))
+        arrays = {name: _as_f64(getattr(self, name), shape, name) for name, shape in (
+            ("positions", (n, 3)), ("scales", (n, 3)), ("rotations", (n, 4)),
+            ("opacities", (n,)), ("colors", (n, 3)))}
         if self.building_ids is not None:
             ids = np.asarray(self.building_ids, dtype=np.int32)
             if ids.shape != (n,):
                 raise ValueError("building_ids must be (N,)")
-            object.__setattr__(self, "building_ids", ids)
+            arrays["building_ids"] = ids
+        for name, a in arrays.items():
+            a = a.view()  # a copy would double the memory of a large set
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def validate(self) -> None:
         if len(self) == 0:
@@ -310,29 +320,38 @@ class CameraView:
         return replace(self, image=image)
 
     def to_camera(self, points: np.ndarray) -> np.ndarray:
+        """(N,3) world points -> (N,3) camera-space points R p + t.
+
+        The result is the (N,3) transpose of a (3,N) buffer, so each
+        coordinate over all points is contiguous and the translation is added
+        one contiguous row at a time. Only the strides differ from a C-ordered
+        (N,3) array; the values are the same.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        cam = pts @ self.rotation.T
-        cam += self.translation
-        return cam
+        cam = self.rotation @ pts.T
+        cam += self.translation[:, None]
+        return cam.T
 
     def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project (N,3) world points; returns ((N,2) pixels, (N,) depths).
 
         Depth is camera-space z; negative depth flags points behind the
         camera (their pixel coordinates are still returned but meaningless).
+        The pixels are the (N,2) transpose of a (2,N) buffer whose rows px
+        and py are written contiguously; only their strides differ from a
+        C-ordered (N,2) array, not their values.
         """
-        cam = self.to_camera(points)
-        z = cam[:, 2]
+        x, y, z = self.to_camera(points).T
         safe_z = np.where(z == 0.0, np.finfo(np.float64).tiny, z)
-        pix = np.empty((len(cam), 2))
-        px, py = pix.T
-        np.multiply(self.fx, cam[:, 0], out=px)
+        pix = np.empty((2, len(z)))
+        px, py = pix
+        np.multiply(self.fx, x, out=px)
         px /= safe_z
         px += self.cx
-        np.multiply(self.fy, cam[:, 1], out=py)
+        np.multiply(self.fy, y, out=py)
         py /= safe_z
         py += self.cy
-        return pix, z
+        return pix.T, z
 
     def unproject(self, pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
         """Inverse of project: pixel + camera-space depth -> world point."""

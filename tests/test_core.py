@@ -122,6 +122,18 @@ class TestCovarianceKernel:
         _assert_matches_reference(scales[::-1], quats[::-1])
         _assert_matches_reference(scales.astype(np.float32), quats.astype(np.float32))
 
+    def test_gather_from_entry_major_result(self):
+        # The workloads read rows back with a fancy-index gather, cov[idx].
+        n = 3 * COV_BLOCK + 5
+        scales, quats = _random_params(np.random.default_rng(13), n)
+        cov = covariances_from_arrays(scales, quats)
+        assert cov.transpose(1, 2, 0).flags.c_contiguous  # the entry-major layout
+        idx = np.random.default_rng(14).choice(n, 64)
+        idx[:3] = (0, COV_BLOCK, n - 1)
+        rows = cov[idx]
+        assert np.array_equal(rows, rows.transpose(0, 2, 1))
+        assert np.abs(rows - _einsum_covariances(scales, quats)[idx]).max() <= 1e-12
+
     def test_rejects_mismatched_scales(self):
         scales, quats = _random_params(np.random.default_rng(12), 5)
         with pytest.raises(ValueError):
@@ -230,6 +242,29 @@ class TestProject:
         pix, depth = permuted.project(points[:2])
         assert depth[0] == 0.0 and depth[1] < 0.0
         assert np.all(np.isfinite(pix))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10**5])
+    def test_matches_reference_at_every_size(self, n):
+        # The bits must not change where the matmul switches BLAS paths.
+        points = np.random.default_rng(n).uniform(-5, 5, (n, 3))
+        for eye in ((20, 3, 6), (-7, 15, -9), (2, -18, 11)):
+            view = CameraView.look_at(eye, (0.5, -0.2, 0.1), 500.0, 480.0, 319.5, 239.5,
+                                      640, 480)
+            cam = points @ view.rotation.T + view.translation
+            x, y, z = cam.T
+            safe_z = np.where(z == 0.0, np.finfo(np.float64).tiny, z)
+            expected = np.stack([view.fx * x / safe_z + view.cx,
+                                 view.fy * y / safe_z + view.cy], axis=1)
+            pix, depth = view.project(points)
+            assert np.array_equal(view.to_camera(points), cam)
+            assert np.array_equal(pix, expected)
+            assert np.array_equal(depth, z)
+
+    def test_empty_and_single_point_shapes(self):
+        view = _identity_view()
+        pix, depth = view.project(np.empty((0, 3)))
+        assert pix.shape == (0, 2) and depth.shape == (0,)
+        assert view.to_camera(np.array([1.0, 2.0, 3.0])).shape == (1, 3)
 
 
 class TestCameraInvariants:
@@ -381,6 +416,17 @@ class TestGaussianSet:
         arrays[field].reshape(-1)[-1] = bad
         with pytest.raises(ValueError):
             GaussianSet(**arrays).validate()
+
+    @pytest.mark.parametrize(
+        "field", ["positions", "scales", "rotations", "opacities", "colors", "building_ids"])
+    def test_fields_are_read_only(self, field):
+        arrays = {"positions": np.zeros((2, 3)), "scales": np.ones((2, 3)),
+                  "rotations": np.tile([1.0, 0, 0, 0], (2, 1)), "opacities": np.ones(2),
+                  "colors": np.ones((2, 3)), "building_ids": np.array([1, 2], dtype=np.int32)}
+        gs = GaussianSet(**arrays)
+        with pytest.raises(ValueError):
+            getattr(gs, field)[0] = 0
+        assert arrays[field].flags.writeable  # the caller's own array is left as it was
 
     def test_validate_accepts_empty_set(self):
         GaussianSet.empty().validate()
