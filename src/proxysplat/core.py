@@ -12,8 +12,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 PSNR_CAP = 99.0
+PSNR_BLOCK = 1 << 15  # values per block of psnr
 
 QUAT_NORM_TOL = 1e-6
+# |q| in [1 - tol, 1 + tol], written on q.q so that no square root is taken.
+QUAT_NORM2_MIN = (1 - QUAT_NORM_TOL) ** 2
+QUAT_NORM2_MAX = (1 + QUAT_NORM_TOL) ** 2
 ROTATION_ORTHO_TOL = 1e-6
 COV_BLOCK = 8192  # rows per block of covariances_from_arrays
 
@@ -101,7 +105,7 @@ class Gaussian3D:
         # when any component is NaN, and every comparison with NaN is False.
         if not (0 < self.scale.min() and self.scale.max() < np.inf):
             raise ValueError("gaussian scale components must be finite and > 0")
-        if not abs(np.linalg.norm(self.rotation) - 1.0) <= QUAT_NORM_TOL:
+        if not QUAT_NORM2_MIN <= float(self.rotation @ self.rotation) <= QUAT_NORM2_MAX:
             raise ValueError("gaussian rotation must be a unit quaternion")
         if not (0.0 <= self.opacity <= 1.0):
             raise ValueError("gaussian opacity must be in [0, 1]")
@@ -196,8 +200,8 @@ class GaussianSet:
         if not (0 < self.scales.min() and self.scales.max() < np.inf):
             raise ValueError("scales must be finite and > 0")
         q = self.rotations
-        norms = np.sqrt(np.einsum("ij,ij->i", q, q))
-        if not np.all(np.abs(norms - 1.0) <= QUAT_NORM_TOL):
+        n2 = np.einsum("ij,ij->i", q, q)
+        if not (QUAT_NORM2_MIN <= n2.min() and n2.max() <= QUAT_NORM2_MAX):
             raise ValueError("rotations must be unit quaternions")
         if not (0 <= self.opacities.min() and self.opacities.max() <= 1):
             raise ValueError("opacities must be in [0, 1]")
@@ -337,21 +341,21 @@ class CameraView:
 
         Depth is camera-space z; negative depth flags points behind the
         camera (their pixel coordinates are still returned but meaningless).
-        The pixels are the (N,2) transpose of a (2,N) buffer whose rows px
-        and py are written contiguously; only their strides differ from a
-        C-ordered (N,2) array, not their values.
+        The pixels and depths are views of the (3,N) camera-space buffer:
+        px and py are computed in place in its rows x and y, and the pixels
+        are the (N,2) transpose of those two rows. Only their strides differ
+        from a C-ordered (N,2) array, not their values.
         """
-        x, y, z = self.to_camera(points).T
-        safe_z = np.where(z == 0.0, np.finfo(np.float64).tiny, z)
-        pix = np.empty((2, len(z)))
-        px, py = pix
-        np.multiply(self.fx, x, out=px)
+        cam = self.to_camera(points).T
+        px, py, z = cam
+        safe_z = z if z.all() else np.where(z == 0.0, np.finfo(np.float64).tiny, z)
+        px *= self.fx
         px /= safe_z
         px += self.cx
-        np.multiply(self.fy, y, out=py)
+        py *= self.fy
         py /= safe_z
         py += self.cy
-        return pix.T, z
+        return cam[:2].T, z
 
     def unproject(self, pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
         """Inverse of project: pixel + camera-space depth -> world point."""
@@ -436,13 +440,28 @@ class Raster:
 def psnr(a, b) -> float:
     """Peak signal-to-noise ratio in dB, peak 1.0, capped at 99 for zero MSE.
 
-    Raises ValueError when the shapes differ or the images hold NaN or inf.
+    Raises ValueError when the shapes differ, the images are empty or they
+    hold NaN or inf. The squared error is summed in blocks of PSNR_BLOCK
+    values through one scratch block, so no full-size temporary is made.
     """
     arr_a = a.data if isinstance(a, Raster) else np.asarray(a, dtype=np.float64)
     arr_b = b.data if isinstance(b, Raster) else np.asarray(b, dtype=np.float64)
     if arr_a.shape != arr_b.shape:
         raise ValueError(f"psnr: shape mismatch {arr_a.shape} vs {arr_b.shape}")
-    mse = float(np.mean((arr_a - arr_b) ** 2))
+    n = arr_a.size
+    if n == 0:
+        raise ValueError("psnr: the images are empty")
+    fa, fb = arr_a.reshape(-1), arr_b.reshape(-1)
+    blk = np.empty(min(n, PSNR_BLOCK))
+    sse = 0.0
+    # inf - inf and overflowing differences end in a non-finite sum, which
+    # the check below turns into a ValueError rather than a warning.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, n, PSNR_BLOCK):
+            d = blk[:min(PSNR_BLOCK, n - lo)]
+            np.subtract(fa[lo:lo + PSNR_BLOCK], fb[lo:lo + PSNR_BLOCK], out=d)
+            sse += float(np.dot(d, d))
+    mse = sse / n
     if not np.isfinite(mse):
         raise ValueError(f"psnr: mean squared error is {mse}; the images hold NaN or inf")
     if mse == 0.0:

@@ -5,6 +5,8 @@ from hypothesis.extra import numpy as hnp
 
 from proxysplat.core import (
     COV_BLOCK,
+    PSNR_BLOCK,
+    QUAT_NORM_TOL,
     CameraView,
     Gaussian3D,
     GaussianSet,
@@ -260,6 +262,14 @@ class TestProject:
             assert np.array_equal(pix, expected)
             assert np.array_equal(depth, z)
 
+    def test_outputs_are_separate_and_points_unchanged(self):
+        view = CameraView.look_at((20, 3, 6), (0, 0, 0), 500.0, 480.0, 319.5, 239.5, 640, 480)
+        points = np.random.default_rng(9).uniform(-5, 5, (1000, 3))
+        before = points.copy()
+        pix, depth = view.project(points)
+        assert not np.shares_memory(pix, depth)
+        assert np.array_equal(points, before)
+
     def test_empty_and_single_point_shapes(self):
         view = _identity_view()
         pix, depth = view.project(np.empty((0, 3)))
@@ -340,6 +350,44 @@ class TestPsnr:
     def test_dimension_mismatch_errors(self):
         with pytest.raises(ValueError):
             psnr(Raster.full(8, 8, 0.0), Raster.full(8, 9, 0.0))
+
+    def test_empty_images_error(self):
+        with pytest.raises(ValueError, match="empty"):
+            psnr(np.zeros((0, 0, 3)), np.zeros((0, 0, 3)))
+        with pytest.raises(ValueError, match="empty"):
+            psnr(Raster(0, 0, 1, np.zeros((0, 0))), Raster(0, 0, 1, np.zeros((0, 0))))
+
+    def test_inf_in_both_images_errors(self):
+        # inf - inf is NaN: a ValueError, not a RuntimeWarning.
+        a = np.full((8, 8, 3), 0.5)
+        a[2, 2, 0] = np.inf
+        with pytest.raises(ValueError):
+            psnr(a, a.copy())
+        with pytest.raises(ValueError):
+            psnr(np.full(4, 1e308), np.full(4, -1e308))  # the difference overflows
+
+    @pytest.mark.parametrize("n", [PSNR_BLOCK - 1, PSNR_BLOCK, PSNR_BLOCK + 1,
+                                   2 * PSNR_BLOCK - 1, 2 * PSNR_BLOCK, 2 * PSNR_BLOCK + 1,
+                                   3 * PSNR_BLOCK + 5])
+    def test_matches_reference_across_block_edges(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.uniform(0, 1, n)
+        b = rng.uniform(0, 1, n)
+        wide_a = np.repeat(a, 2).reshape(1, 2 * n)  # every other column: a strided view
+        wide_b = np.repeat(b, 2).reshape(1, 2 * n)
+        assert not wide_a[:, ::2].flags.c_contiguous
+        pairs = [(a, b), (Raster.from_array(a.reshape(1, n)), Raster.from_array(b.reshape(1, n))),
+                 (a.astype(np.float32), b.astype(np.float32)), (wide_a[:, ::2], wide_b[:, ::2])]
+        for x, y in pairs:
+            x64 = np.asarray(getattr(x, "data", x), dtype=np.float64)
+            y64 = np.asarray(getattr(y, "data", y), dtype=np.float64)
+            expected = 10 * np.log10(1 / np.mean((x64 - y64) ** 2))
+            assert abs(psnr(x, y) - expected) <= 1e-10
+
+    @pytest.mark.parametrize("delta", [0.01, 0.07, 0.2])
+    def test_constant_offset_at_full_resolution(self, delta):
+        a = np.random.default_rng(4).uniform(0, 0.8, (480, 640, 3))
+        assert abs(psnr(a, a + delta) + 20 * np.log10(delta)) <= 1e-9
 
     def test_symmetry_and_noise_monotonicity(self):
         rng = np.random.default_rng(3)
@@ -431,6 +479,23 @@ class TestGaussianSet:
     def test_validate_accepts_empty_set(self):
         GaussianSet.empty().validate()
         GaussianSet.empty(with_ids=True).validate()
+
+    @pytest.mark.parametrize("factor, ok", [(1 - 0.5 * QUAT_NORM_TOL, True),
+                                            (1 + 0.5 * QUAT_NORM_TOL, True),
+                                            (1 - 2 * QUAT_NORM_TOL, False),
+                                            (1 + 2 * QUAT_NORM_TOL, False)])
+    def test_quaternion_norm_bounds_agree(self, factor, ok):
+        q = _random_unit_quat(np.random.default_rng(5)) * factor
+        gs = GaussianSet(np.zeros((2, 3)), np.ones((2, 3)), np.array([[1.0, 0, 0, 0], q]),
+                         np.ones(2), np.ones((2, 3)))
+        if ok:
+            _gaussian(rotation=q)
+            gs.validate()
+        else:
+            with pytest.raises(ValueError):
+                _gaussian(rotation=q)
+            with pytest.raises(ValueError):
+                gs.validate()
 
     def test_validate_flags_bad_rows(self):
         gs = GaussianSet(
