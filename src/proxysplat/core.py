@@ -1,12 +1,15 @@
 """Shared scene data model: points, gaussians, meshes, cameras, rasters.
 
 Everything here is immutable value data once constructed; downstream stages
-never mutate these objects in place.
+never mutate these objects in place. Every array field is a read-only view,
+so writing through it raises ValueError. An array the caller passes in that
+already has the field's dtype is not copied: the field views the caller's
+memory, and the caller must not write to its own handle afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,24 +24,58 @@ QUAT_NORM2_MAX = (1 + QUAT_NORM_TOL) ** 2
 ROTATION_ORTHO_TOL = 1e-6
 COV_BLOCK = 8192  # rows per block of covariances_from_arrays
 
+_F64_MAX = float(np.finfo(np.float64).max)
+# (field, lower, upper, rule) of a gaussian, checked as lower <= min and
+# max <= upper, so NaN fails. Strict bounds are written as the nearest
+# float64: "> 0" is ">= 5e-324" and "finite" is within +-finfo.max. The
+# rotation row bounds q.q, not the components.
+_GAUSSIAN_BOUNDS = (
+    ("position", -_F64_MAX, _F64_MAX, "finite"),
+    ("scale", 5e-324, _F64_MAX, "finite and > 0"),
+    ("rotation", QUAT_NORM2_MIN, QUAT_NORM2_MAX, "a unit quaternion"),
+    ("opacity", 0.0, 1.0, "in [0, 1]"),
+    ("color", 0.0, 1.0, "in [0, 1]"),
+)
 
-def _as_f64(a, shape=None, name="array"):
-    out = np.asarray(a, dtype=np.float64)
-    if shape is not None and out.shape != shape:
+
+def _check_gaussians(*extremes) -> None:
+    """Raise ValueError unless each (min, max) pair lies in its _GAUSSIAN_BOUNDS row."""
+    for (name, lower, upper, rule), (lo, hi) in zip(_GAUSSIAN_BOUNDS, extremes):
+        if not (lower <= lo and hi <= upper):
+            raise ValueError(f"gaussian {name} must be {rule}")
+
+
+def _field(a, shape, name, dtype=np.float64) -> np.ndarray:
+    """`a` as a read-only `dtype` array of `shape`; otherwise ValueError naming `name`.
+
+    Not a copy when `a` has `dtype` already, and a read-only array comes back as it is.
+    """
+    out = np.asarray(a, dtype=dtype)
+    if out.shape != shape:
         raise ValueError(f"{name}: expected shape {shape}, got {out.shape}")
+    if out.flags.writeable:
+        out = out.view()  # a copy would double the memory of a large set
+        out.setflags(write=False)
     return out
+
+
+def _rotation_entries(w, x, y, z):
+    """The nine rotation entries of quaternion (w, x, y, z), row by row; floats or arrays."""
+    yield 1 - 2 * (y * y + z * z)
+    yield 2 * (x * y - w * z)
+    yield 2 * (x * z + w * y)
+    yield 2 * (x * y + w * z)
+    yield 1 - 2 * (x * x + z * z)
+    yield 2 * (y * z - w * x)
+    yield 2 * (x * z - w * y)
+    yield 2 * (y * z + w * x)
+    yield 1 - 2 * (x * x + y * y)
 
 
 def quat_to_rotation(q) -> np.ndarray:
     """Rotation matrix from a unit quaternion (w, x, y, z)."""
-    w, x, y, z = np.asarray(q, dtype=np.float64)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    w, x, y, z = np.asarray(q, dtype=np.float64).tolist()
+    return np.fromiter(_rotation_entries(w, x, y, z), np.float64, 9).reshape(3, 3)
 
 
 def quats_to_rotations(quats: np.ndarray) -> np.ndarray:
@@ -53,15 +90,11 @@ def quats_to_rotations(quats: np.ndarray) -> np.ndarray:
         raise ValueError(f"quats: expected shape (N, 4), got {q.shape}")
     w, x, y, z = q.T.copy()
     R = np.empty((3, 3, len(q)))
-    R[0, 0] = 1 - 2 * (y * y + z * z)
-    R[0, 1] = 2 * (x * y - w * z)
-    R[0, 2] = 2 * (x * z + w * y)
-    R[1, 0] = 2 * (x * y + w * z)
-    R[1, 1] = 1 - 2 * (x * x + z * z)
-    R[1, 2] = 2 * (y * z - w * x)
-    R[2, 0] = 2 * (x * z - w * y)
-    R[2, 1] = 2 * (y * z + w * x)
-    R[2, 2] = 1 - 2 * (x * x + y * y)
+    entries = _rotation_entries(w, x, y, z)
+    # Each entry is stored before the next is computed, so at most one
+    # full-size entry is alive at a time.
+    for row in R.reshape(9, len(q)):
+        row[...] = next(entries)
     return R.transpose(2, 0, 1)
 
 
@@ -95,22 +128,13 @@ class Gaussian3D:
     color: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _as_f64(self.position, (3,), "position"))
-        object.__setattr__(self, "scale", _as_f64(self.scale, (3,), "scale"))
-        object.__setattr__(self, "rotation", _as_f64(self.rotation, (4,), "rotation"))
-        object.__setattr__(self, "color", _as_f64(self.color, (3,), "color"))
-        if not np.all(np.isfinite(self.position)):
-            raise ValueError("gaussian position must be finite")
-        # Every check is written so that NaN fails it: min and max return NaN
-        # when any component is NaN, and every comparison with NaN is False.
-        if not (0 < self.scale.min() and self.scale.max() < np.inf):
-            raise ValueError("gaussian scale components must be finite and > 0")
-        if not QUAT_NORM2_MIN <= float(self.rotation @ self.rotation) <= QUAT_NORM2_MAX:
-            raise ValueError("gaussian rotation must be a unit quaternion")
-        if not (0.0 <= self.opacity <= 1.0):
-            raise ValueError("gaussian opacity must be in [0, 1]")
-        if not (0 <= self.color.min() and self.color.max() <= 1):
-            raise ValueError("gaussian color must be in [0, 1]^3")
+        for name, shape in (("position", (3,)), ("scale", (3,)), ("rotation", (4,)),
+                            ("color", (3,))):
+            object.__setattr__(self, name, _field(getattr(self, name), shape, name))
+        p, s, c = self.position, self.scale, self.color
+        n2 = float(self.rotation @ self.rotation)
+        _check_gaussians((p.min(), p.max()), (s.min(), s.max()), (n2, n2),
+                         (self.opacity, self.opacity), (c.min(), c.max()))
 
 
 def quaternion_to_covariance(g: Gaussian3D) -> np.ndarray:
@@ -160,12 +184,13 @@ def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray
 class GaussianSet:
     """Columnar set of gaussians; the workhorse container for rendering.
 
-    building_ids uses 0 for surround gaussians, positive ids for buildings.
+    building_ids uses 0 for surround gaussians, positive ids for buildings,
+    and must hold integers in [0, 2**31 - 1].
 
     The fields are read-only views, so writing through `gs.scales[...]`
     raises ValueError. Arrays the caller passes in that are already float64
-    (int32 for building_ids) are not copied: the set views the caller's
-    memory, so the caller must not mutate those arrays afterwards.
+    (int32 for building_ids) are not copied, so the caller must not mutate
+    them afterwards.
     """
 
     positions: np.ndarray  # (N, 3)
@@ -176,51 +201,36 @@ class GaussianSet:
     building_ids: np.ndarray | None = None  # (N,) int32, optional
 
     def __post_init__(self):
-        n = len(np.asarray(self.positions))
-        arrays = {name: _as_f64(getattr(self, name), shape, name) for name, shape in (
-            ("positions", (n, 3)), ("scales", (n, 3)), ("rotations", (n, 4)),
-            ("opacities", (n,)), ("colors", (n, 3)))}
+        n = len(self.positions)
+        for name, shape in (("positions", (n, 3)), ("scales", (n, 3)), ("rotations", (n, 4)),
+                            ("opacities", (n,)), ("colors", (n, 3))):
+            object.__setattr__(self, name, _field(getattr(self, name), shape, name))
         if self.building_ids is not None:
-            ids = np.asarray(self.building_ids, dtype=np.int32)
-            if ids.shape != (n,):
-                raise ValueError("building_ids must be (N,)")
-            arrays["building_ids"] = ids
-        for name, a in arrays.items():
-            a = a.view()  # a copy would double the memory of a large set
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            ids = np.asarray(self.building_ids)
+            # Checked before the int32 cast, which would wrap, truncate or
+            # turn NaN into a negative id without an error.
+            if ids.size and not (ids.dtype.kind in "iu" and 0 <= ids.min()
+                                 and ids.max() <= np.iinfo(np.int32).max):
+                raise ValueError("building_ids must be integers in [0, 2**31 - 1]")
+            object.__setattr__(self, "building_ids", _field(ids, (n,), "building_ids", np.int32))
 
     def validate(self) -> None:
         if len(self) == 0:
             return  # min and max below are undefined on empty arrays
-        if not np.all(np.isfinite(self.positions)):
-            raise ValueError("positions must be finite")
-        # Every check is written so that NaN fails it, as in Gaussian3D. The
-        # min/max reductions also make no full-size temporaries.
-        if not (0 < self.scales.min() and self.scales.max() < np.inf):
-            raise ValueError("scales must be finite and > 0")
-        q = self.rotations
-        n2 = np.einsum("ij,ij->i", q, q)
-        if not (QUAT_NORM2_MIN <= n2.min() and n2.max() <= QUAT_NORM2_MAX):
-            raise ValueError("rotations must be unit quaternions")
-        if not (0 <= self.opacities.min() and self.opacities.max() <= 1):
-            raise ValueError("opacities must be in [0, 1]")
-        if not (0 <= self.colors.min() and self.colors.max() <= 1):
-            raise ValueError("colors must be in [0, 1]")
+        # The min/max reductions make no full-size temporaries.
+        n2 = np.einsum("ij,ij->i", self.rotations, self.rotations)
+        _check_gaussians(*((a.min(), a.max()) for a in (
+            self.positions, self.scales, n2, self.opacities, self.colors)))
 
     def __len__(self) -> int:
         return len(self.positions)
 
+    def _columns(self) -> tuple:
+        """The fields in declaration order; building_ids may be None."""
+        return tuple(getattr(self, f.name) for f in fields(self))
+
     def select(self, index) -> "GaussianSet":
-        ids = None if self.building_ids is None else self.building_ids[index]
-        return GaussianSet(
-            self.positions[index],
-            self.scales[index],
-            self.rotations[index],
-            self.opacities[index],
-            self.colors[index],
-            ids,
-        )
+        return GaussianSet(*(None if c is None else c[index] for c in self._columns()))
 
     def covariances(self) -> np.ndarray:
         return covariances_from_arrays(self.scales, self.rotations)
@@ -235,24 +245,20 @@ class GaussianSet:
     @staticmethod
     def from_gaussians(gaussians: Sequence[Gaussian3D],
                        building_ids=None) -> "GaussianSet":
-        if len(gaussians) == 0:
-            return GaussianSet.empty()
         return GaussianSet(
-            np.stack([g.position for g in gaussians]),
-            np.stack([g.scale for g in gaussians]),
-            np.stack([g.rotation for g in gaussians]),
-            np.array([g.opacity for g in gaussians]),
-            np.stack([g.color for g in gaussians]),
+            np.array([g.position for g in gaussians], np.float64).reshape(-1, 3),
+            np.array([g.scale for g in gaussians], np.float64).reshape(-1, 3),
+            np.array([g.rotation for g in gaussians], np.float64).reshape(-1, 4),
+            np.array([g.opacity for g in gaussians], np.float64),
+            np.array([g.color for g in gaussians], np.float64).reshape(-1, 3),
             building_ids,
         )
 
     @staticmethod
     def empty(with_ids: bool = False) -> "GaussianSet":
         ids = np.zeros(0, dtype=np.int32) if with_ids else None
-        return GaussianSet(
-            np.zeros((0, 3)), np.ones((0, 3)), np.tile([1.0, 0, 0, 0], (0, 1)).reshape(0, 4),
-            np.zeros(0), np.zeros((0, 3)), ids,
-        )
+        return GaussianSet(np.zeros((0, 3)), np.ones((0, 3)), np.zeros((0, 4)),
+                           np.zeros(0), np.zeros((0, 3)), ids)
 
     @staticmethod
     def concatenate(sets: Iterable["GaussianSet"]) -> "GaussianSet":
@@ -264,16 +270,9 @@ class GaussianSet:
         if missing and len(missing) < len(indexed):
             raise ValueError(f"concatenate: set {missing[0]} has no building_ids "
                              "but other sets do")
-        sets = [s for _, s in indexed]
-        ids = None if missing else np.concatenate([s.building_ids for s in sets])
-        return GaussianSet(
-            np.concatenate([s.positions for s in sets]),
-            np.concatenate([s.scales for s in sets]),
-            np.concatenate([s.rotations for s in sets]),
-            np.concatenate([s.opacities for s in sets]),
-            np.concatenate([s.colors for s in sets]),
-            ids,
-        )
+        # Either every set carries ids or none does.
+        columns = zip(*(s._columns() for _, s in indexed))
+        return GaussianSet(*(None if c[0] is None else np.concatenate(c) for c in columns))
 
 
 @dataclass(frozen=True)
@@ -296,9 +295,11 @@ class CameraView:
     image: np.ndarray | None = None  # (H, W, 3) ground truth in [0, 1]
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", _as_f64(self.rotation, (3, 3), "rotation"))
-        object.__setattr__(self, "translation", _as_f64(self.translation, (3,), "translation"))
-        # Every check is written so that NaN fails it, as in Gaussian3D.
+        object.__setattr__(self, "rotation", _field(self.rotation, (3, 3), "rotation"))
+        object.__setattr__(self, "translation", _field(self.translation, (3,), "translation"))
+        # Every check is written so that NaN fails it, as in _check_gaussians.
+        if not (1 <= self.width and 1 <= self.height):
+            raise ValueError("image width and height must be >= 1")
         if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
             raise ValueError("focal lengths must be finite and > 0")
         if not (-0.5 <= self.cx <= self.width - 0.5 and -0.5 <= self.cy <= self.height - 0.5):
@@ -311,9 +312,9 @@ class CameraView:
         if not np.linalg.det(self.rotation) > 0:
             raise ValueError("extrinsic rotation must have det +1, not be a reflection")
         if self.image is not None:
-            img = np.asarray(self.image, dtype=np.float64)
-            if img.shape != (self.height, self.width, 3):
-                raise ValueError("image shape must match resolution")
+            img = _field(self.image, (self.height, self.width, 3), "image")
+            if not (0 <= img.min() and img.max() <= 1):
+                raise ValueError("image values must be in [0, 1]")
             object.__setattr__(self, "image", img)
 
     @property
@@ -369,14 +370,14 @@ class CameraView:
     @staticmethod
     def look_at(eye, target, fx, fy, cx, cy, width, height,
                 up=(0.0, 0.0, 1.0), image=None) -> "CameraView":
-        eye = _as_f64(eye, (3,), "eye")
-        target = _as_f64(target, (3,), "target")
+        eye = _field(eye, (3,), "eye")
+        target = _field(target, (3,), "target")
         forward = target - eye
         norm = np.linalg.norm(forward)
         if norm == 0:
             raise ValueError("eye and target coincide")
         forward = forward / norm
-        up = _as_f64(up, (3,), "up")
+        up = _field(up, (3,), "up")
         up_norm = np.linalg.norm(up)
         if not 0 < up_norm < np.inf:
             raise ValueError(f"up must be a finite, non-zero vector, got {up}")
@@ -414,10 +415,7 @@ class Raster:
         if self.channels not in (1, 3):
             raise ValueError("channels must be 1 or 3")
         expected = (self.height, self.width) if self.channels == 1 else (self.height, self.width, 3)
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.shape != expected:
-            raise ValueError(f"raster data must have shape {expected}, got {arr.shape}")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _field(self.data, expected, "raster data"))
 
     @staticmethod
     def from_array(arr: np.ndarray) -> "Raster":

@@ -20,6 +20,8 @@ from proxysplat.core import (
     quats_to_rotations,
 )
 
+F64_MAX = np.finfo(np.float64).max
+
 
 def _gaussian(position=(0, 0, 0), scale=(1, 1, 1), rotation=(1, 0, 0, 0),
               opacity=1.0, color=(1, 1, 1)):
@@ -180,6 +182,59 @@ class TestGaussianInvariants:
         with pytest.raises(ValueError):
             Point3(np.nan, 0.0, 0.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_validate_of_one_row_set(self, data):
+        # One rule: a gaussian is rejected exactly when a set of it fails validate().
+        edge = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, F64_MAX,
+                                -F64_MAX, 1.0, np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0)])
+        number = st.one_of(edge, st.floats(-2, 2))
+        position, scale, color = (np.array(data.draw(st.lists(number, min_size=3, max_size=3)))
+                                  for _ in range(3))
+        opacity = data.draw(number)
+        q = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=4, max_size=4)))
+        assume(np.linalg.norm(q) > 0.1)
+        q /= np.linalg.norm(q)
+        q *= data.draw(st.sampled_from([1.0, 1 - 0.5 * QUAT_NORM_TOL, 1 + 0.5 * QUAT_NORM_TOL,
+                                        1 - 2 * QUAT_NORM_TOL, 1 + 2 * QUAT_NORM_TOL]))
+        if data.draw(st.booleans()):
+            q[data.draw(st.integers(0, 3))] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        try:
+            Gaussian3D(position, scale, q, opacity, color)
+            accepted = True
+        except ValueError:
+            accepted = False
+        gs = GaussianSet(position[None], scale[None], q[None], np.array([opacity]), color[None])
+        try:
+            gs.validate()
+            valid = True
+        except ValueError:
+            valid = False
+        assert accepted == valid
+
+    @pytest.mark.parametrize("field", ["position", "scale", "rotation", "color"])
+    def test_fields_are_read_only(self, field):
+        arrays = {"position": np.zeros(3), "scale": np.ones(3),
+                  "rotation": np.array([1.0, 0, 0, 0]), "color": np.ones(3)}
+        g = Gaussian3D(opacity=1.0, **arrays)
+        with pytest.raises(ValueError):
+            getattr(g, field)[0] = 0.5
+        assert arrays[field].flags.writeable  # the caller's own array is left as it was
+        assert np.shares_memory(getattr(g, field), arrays[field])  # a view, not a copy
+
+    @pytest.mark.parametrize("edge", ["low", "high"])
+    def test_bounds_are_closed_at_their_nearest_float(self, edge):
+        # Each field at its extreme allowed value is accepted by both checks.
+        low = edge == "low"
+        position = np.full(3, -F64_MAX if low else F64_MAX)
+        scale = np.full(3, 5e-324 if low else F64_MAX)
+        opacity, color = (0.0, np.zeros(3)) if low else (1.0, np.ones(3))
+        rotation = np.array([1 - QUAT_NORM_TOL if low else 1 + QUAT_NORM_TOL, 0, 0, 0]) * (
+            1 + (1e-12 if low else -1e-12))
+        Gaussian3D(position, scale, rotation, opacity, color)
+        GaussianSet(position[None], scale[None], rotation[None], np.array([opacity]),
+                    color[None]).validate()
+
 
 def _identity_view(width=100, height=100, f=100.0, c=50.0):
     return CameraView(np.eye(3), np.zeros(3), f, f, c, c, width, height)
@@ -320,6 +375,30 @@ class TestCameraInvariants:
         with np.errstate(all="raise"), pytest.raises(ValueError):
             CameraView.look_at((3, 2, 1), (0, 0, 0), 100, 100, 50, 50, 100, 100, up=(0, 0, 0))
 
+    @pytest.mark.parametrize("width, height", [(0, 0), (0, 1), (1, 0), (np.nan, 1), (1, np.nan)])
+    def test_rejects_resolution_below_one_pixel(self, width, height):
+        with pytest.raises(ValueError):
+            CameraView(np.eye(3), np.zeros(3), 100, 100, -0.5, -0.5, width, height)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.5, -0.1])
+    def test_rejects_image_outside_unit_range(self, bad):
+        view = CameraView(np.eye(3), np.zeros(3), 100, 100, 1.5, 1.0, 4, 3)
+        image = np.full((3, 4, 3), 0.5)
+        assert view.with_image(image).image.shape == (3, 4, 3)
+        image[2, 1, 0] = bad
+        with pytest.raises(ValueError):
+            view.with_image(image)
+        with pytest.raises(ValueError):
+            view.with_image(np.full((3, 4, 3), bad))
+
+    @pytest.mark.parametrize("field", ["rotation", "translation", "image"])
+    def test_fields_are_read_only(self, field):
+        arrays = {"rotation": np.eye(3), "translation": np.zeros(3), "image": np.zeros((3, 4, 3))}
+        view = CameraView(fx=100, fy=100, cx=1.5, cy=1.0, width=4, height=3, **arrays)
+        with pytest.raises(ValueError):
+            getattr(view, field)[0] = 0.5
+        assert arrays[field].flags.writeable  # the caller's own array is left as it was
+
 
 class TestPsnr:
     def test_identical_hits_cap(self):
@@ -411,6 +490,13 @@ class TestRaster:
         with pytest.raises(ValueError):
             Raster(4, 4, 2, np.zeros((4, 4, 2)))
 
+    def test_data_is_read_only(self):
+        data = np.zeros((2, 4))
+        r = Raster.from_array(data)
+        with pytest.raises(ValueError):
+            r.data[0, 0] = 1.0
+        assert data.flags.writeable  # the caller's own array is left as it was
+
 
 class TestGaussianSet:
     def test_roundtrip_through_gaussians(self):
@@ -453,6 +539,57 @@ class TestGaussianSet:
         assert GaussianSet.concatenate([GaussianSet.empty(), with_ids]).building_ids.tolist() == [3]
         with pytest.raises(ValueError, match="set 2 "):
             GaussianSet.concatenate([with_ids, GaussianSet.empty(), without, without])
+
+    def test_select_and_concatenate_keep_columns_and_ids(self):
+        rng = np.random.default_rng(6)
+        sets = []
+        for n, first_id in ((3, 0), (2, 5), (4, 9)):
+            sets.append(GaussianSet(
+                rng.normal(size=(n, 3)), rng.uniform(0.1, 2, (n, 3)),
+                np.array([_random_unit_quat(rng) for _ in range(n)]), rng.uniform(size=n),
+                rng.uniform(size=(n, 3)), np.arange(first_id, first_id + n)))
+        merged = GaussianSet.concatenate(sets)
+        columns = ("positions", "scales", "rotations", "opacities", "colors", "building_ids")
+        for name in columns:
+            assert np.array_equal(getattr(merged, name),
+                                  np.concatenate([getattr(s, name) for s in sets]))
+        index = np.array([8, 0, 4, 4])
+        sub = merged.select(index)
+        for name in columns:
+            assert np.array_equal(getattr(sub, name), getattr(merged, name)[index])
+        assert sub.building_ids.tolist() == [12, 0, 6, 6]
+        no_ids = GaussianSet.concatenate([GaussianSet(*(getattr(s, c) for c in columns[:5]))
+                                          for s in sets])
+        assert no_ids.building_ids is None and no_ids.select(index).building_ids is None
+        assert np.array_equal(no_ids.select(index).colors, sub.colors)
+
+    @pytest.mark.parametrize("ids", [[2**31, 0], [-5, 1], [-1, 0]])
+    def test_rejects_building_ids_out_of_int32_range(self, ids):
+        with pytest.raises(ValueError, match="building_ids"):
+            GaussianSet.from_gaussians([_gaussian(), _gaussian()], building_ids=np.array(ids))
+
+    @pytest.mark.parametrize("ids", [np.array([1.7, np.nan]), np.array([1.0, 2.0]),
+                                     np.array([True, False])])
+    def test_rejects_building_ids_of_non_integer_dtype(self, ids):
+        with pytest.raises(ValueError, match="building_ids"):
+            GaussianSet.from_gaussians([_gaussian(), _gaussian()], building_ids=ids)
+
+    def test_accepts_building_ids_at_the_int32_edges(self):
+        gs = GaussianSet.from_gaussians([_gaussian(), _gaussian()],
+                                        building_ids=np.array([0, 2**31 - 1], dtype=np.uint64))
+        assert gs.building_ids.dtype == np.int32
+        assert gs.building_ids.tolist() == [0, 2**31 - 1]
+        for empty in (np.zeros(0), np.zeros(0, dtype=bool), []):
+            assert GaussianSet.from_gaussians([], building_ids=empty).building_ids.shape == (0,)
+
+    def test_from_gaussians_keeps_ids_of_empty_input(self):
+        gs = GaussianSet.from_gaussians([], building_ids=np.zeros(0, np.int32))
+        assert gs.building_ids is not None and gs.building_ids.shape == (0,)
+        assert gs.rotations.shape == (0, 4) and gs.opacities.shape == (0,)
+        with pytest.raises(ValueError, match="building_ids"):
+            GaussianSet.from_gaussians([], building_ids=np.array([1]))
+        with pytest.raises(ValueError, match="building_ids"):
+            GaussianSet.from_gaussians([_gaussian()], building_ids=np.array([1, 2]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["positions", "scales", "rotations", "opacities", "colors"])
