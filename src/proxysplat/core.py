@@ -25,10 +25,10 @@ ROTATION_ORTHO_TOL = 1e-6
 COV_BLOCK = 8192  # rows per block of covariances_from_arrays
 
 _F64_MAX = float(np.finfo(np.float64).max)
-# (field, lower, upper, rule) of a gaussian, checked as lower <= min and
-# max <= upper, so NaN fails. Strict bounds are written as the nearest
-# float64: "> 0" is ">= 5e-324" and "finite" is within +-finfo.max. The
-# rotation row bounds q.q, not the components.
+# (field, lower, upper, rule) of a gaussian, checked as lower <= v <= upper,
+# so NaN fails. Strict bounds are written as the nearest float64: "> 0" is
+# ">= 5e-324" and "finite" is within +-finfo.max. The rotation row bounds
+# q.q, not the components.
 _GAUSSIAN_BOUNDS = (
     ("position", -_F64_MAX, _F64_MAX, "finite"),
     ("scale", 5e-324, _F64_MAX, "finite and > 0"),
@@ -38,11 +38,19 @@ _GAUSSIAN_BOUNDS = (
 )
 
 
-def _check_gaussians(*extremes) -> None:
-    """Raise ValueError unless each (min, max) pair lies in its _GAUSSIAN_BOUNDS row."""
-    for (name, lower, upper, rule), (lo, hi) in zip(_GAUSSIAN_BOUNDS, extremes):
-        if not (lower <= lo and hi <= upper):
-            raise ValueError(f"gaussian {name} must be {rule}")
+def _check_gaussians(*values) -> None:
+    """Raise ValueError unless every value lies in its _GAUSSIAN_BOUNDS row.
+
+    One table, read two ways: `Gaussian3D` passes each field's own values,
+    as Python floats, and `GaussianSet.validate` passes each column's
+    (min, max) pair. Each value is tested as `lower <= v <= upper`, so NaN
+    fails wherever it sits; the builtin min and max are not used, since
+    their result with NaN depends on the order of the values.
+    """
+    for (name, lower, upper, rule), vs in zip(_GAUSSIAN_BOUNDS, values):
+        for v in vs:
+            if not lower <= v <= upper:
+                raise ValueError(f"gaussian {name} must be {rule}")
 
 
 def _field(a, shape, name, dtype=np.float64) -> np.ndarray:
@@ -70,6 +78,25 @@ def _rotation_entries(w, x, y, z):
     yield 2 * (x * z - w * y)
     yield 2 * (y * z + w * x)
     yield 1 - 2 * (x * x + y * y)
+
+
+# (i, j) of the six unique entries of a symmetric 3x3 matrix, in the order
+# _covariance_entries yields them.
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def _covariance_entries(m):
+    """The six unique entries of M M^T, at _UPPER; M indexed m[i][k], floats or arrays.
+
+    Entry (i, j) is the dot product of rows i and j of M, summed left to right.
+    On arrays the sum builds up in place in the first product's temporary.
+    """
+    for i, j in _UPPER:
+        mi, mj = m[i], m[j]
+        v = mi[0] * mj[0]
+        v += mi[1] * mj[1]
+        v += mi[2] * mj[2]
+        yield v
 
 
 def quat_to_rotation(q) -> np.ndarray:
@@ -119,6 +146,10 @@ class Gaussian3D:
     """One splat: position, anisotropic scale, rotation, opacity, RGB color.
 
     Color is view-independent (spherical harmonics degree 0).
+
+    The fields are checked against the same _GAUSSIAN_BOUNDS table as
+    `GaussianSet.validate`, read value by value: each component of position,
+    scale and color, q.q of the rotation, and the opacity, as Python floats.
     """
 
     position: np.ndarray
@@ -131,16 +162,23 @@ class Gaussian3D:
         for name, shape in (("position", (3,)), ("scale", (3,)), ("rotation", (4,)),
                             ("color", (3,))):
             object.__setattr__(self, name, _field(getattr(self, name), shape, name))
-        p, s, c = self.position, self.scale, self.color
         n2 = float(self.rotation @ self.rotation)
-        _check_gaussians((p.min(), p.max()), (s.min(), s.max()), (n2, n2),
-                         (self.opacity, self.opacity), (c.min(), c.max()))
+        _check_gaussians(self.position.tolist(), self.scale.tolist(), (n2,),
+                         (self.opacity,), self.color.tolist())
 
 
 def quaternion_to_covariance(g: Gaussian3D) -> np.ndarray:
-    """3x3 covariance R diag(scale^2) R^T of a gaussian's ellipsoid."""
-    R = quat_to_rotation(g.rotation)
-    return (R * (g.scale**2)) @ R.T
+    """3x3 covariance R diag(scale^2) R^T = M M^T of a gaussian's ellipsoid.
+
+    M = R diag(scale) and its products are computed on Python floats with the
+    formulas of covariances_from_arrays, so the result equals that gaussian's
+    row of the kernel exactly.
+    """
+    s = g.scale.tolist()
+    r = _rotation_entries(*g.rotation.tolist())
+    m = [[next(r) * sk for sk in s] for _ in range(3)]
+    c00, c01, c02, c11, c12, c22 = _covariance_entries(m)
+    return np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]])
 
 
 def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray:
@@ -169,14 +207,10 @@ def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray
         hi = lo + COV_BLOCK
         M = quats_to_rotations(q[lo:hi]).transpose(1, 2, 0)
         M *= s[lo:hi].T
-        for i in range(3):
-            for j in range(i, 3):
-                v = out[i, j, lo:hi]
-                np.multiply(M[i, 0], M[j, 0], out=v)
-                v += M[i, 1] * M[j, 1]
-                v += M[i, 2] * M[j, 2]
-                if i != j:
-                    out[j, i, lo:hi] = v
+        for (i, j), v in zip(_UPPER, _covariance_entries(M)):
+            out[i, j, lo:hi] = v
+            if i != j:
+                out[j, i, lo:hi] = v
     return out.transpose(2, 0, 1)
 
 
@@ -342,21 +376,29 @@ class CameraView:
 
         Depth is camera-space z; negative depth flags points behind the
         camera (their pixel coordinates are still returned but meaningless).
+        A point on the camera plane (z == 0) is divided by the smallest
+        normal float instead of 0: its pixel coordinates are non-finite (or
+        huge, near the optical axis) and as meaningless, and no warning is
+        raised.
+
         The pixels and depths are views of the (3,N) camera-space buffer:
-        px and py are computed in place in its rows x and y, and the pixels
-        are the (N,2) transpose of those two rows. Only their strides differ
-        from a C-ordered (N,2) array, not their values.
+        its (2,N) block of rows x and y is scaled by (fx, fy), divided by z
+        and offset by (cx, cy) in place, one broadcast ufunc call each, and
+        the pixels are the (N,2) transpose of that block. Only their strides
+        differ from a C-ordered (N,2) array, not their values.
         """
         cam = self.to_camera(points).T
-        px, py, z = cam
-        safe_z = z if z.all() else np.where(z == 0.0, np.finfo(np.float64).tiny, z)
-        px *= self.fx
-        px /= safe_z
-        px += self.cx
-        py *= self.fy
-        py /= safe_z
-        py += self.cy
-        return cam[:2].T, z
+        xy, z = cam[:2], cam[2]
+        xy *= np.array([[self.fx], [self.fy]])
+        if z.all():
+            xy /= z
+        else:
+            # x / tiny overflows to +-inf once |fx x| exceeds about 4; that
+            # result is expected, not an error worth a warning.
+            with np.errstate(over="ignore"):
+                xy /= np.where(z == 0.0, np.finfo(np.float64).tiny, z)
+        xy += np.array([[self.cx], [self.cy]])
+        return xy.T, z
 
     def unproject(self, pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
         """Inverse of project: pixel + camera-space depth -> world point."""

@@ -29,6 +29,17 @@ def _gaussian(position=(0, 0, 0), scale=(1, 1, 1), rotation=(1, 0, 0, 0),
                       np.array(rotation, float), opacity, np.array(color, float))
 
 
+def _component_params(sizes, first):
+    """(field, index) for every component of each field, as pytest params.
+
+    The component a test used before it covered every index keeps the bare
+    field name as its id: index 0 when `first`, else the last index.
+    """
+    return [pytest.param(field, i, id=field if i == (0 if first else size - 1)
+                         else f"{field}-{i}")
+            for field, size in sizes.items() for i in range(size)]
+
+
 def _random_unit_quat(rng):
     q = rng.normal(size=4)
     return q / np.linalg.norm(q)
@@ -93,6 +104,16 @@ class TestQuaternionToCovariance:
             assert np.allclose(cov, cov.T, atol=1e-12)
             eig = np.sort(np.linalg.eigvalsh(cov))
             assert np.allclose(eig, np.sort(scale**2), atol=1e-9)
+
+    @pytest.mark.parametrize("n, rows", [(2000, None),
+                                         (2 * COV_BLOCK + 1, [0, COV_BLOCK - 1, COV_BLOCK,
+                                                              COV_BLOCK + 1, 2 * COV_BLOCK])])
+    def test_equals_its_kernel_row_exactly(self, n, rows):
+        scales, quats = _random_params(np.random.default_rng(n), n)
+        cov = covariances_from_arrays(scales, quats)
+        for i in range(n) if rows is None else rows:
+            g = _gaussian(scale=scales[i], rotation=quats[i])
+            assert np.array_equal(quaternion_to_covariance(g), cov[i])
 
 
 class TestRotationKernel:
@@ -171,10 +192,15 @@ class TestGaussianInvariants:
             _gaussian(color=(1.2, 0, 0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("field", ["position", "scale", "rotation", "opacity", "color"])
-    def test_rejects_non_finite(self, field, bad):
-        kwargs = {"opacity": bad} if field == "opacity" else {
-            field: np.r_[bad, getattr(_gaussian(), field)[1:]]}
+    @pytest.mark.parametrize("field, index", _component_params(
+        {"position": 3, "scale": 3, "rotation": 4, "opacity": 1, "color": 3}, first=True))
+    def test_rejects_non_finite(self, field, index, bad):
+        if field == "opacity":
+            kwargs = {"opacity": bad}
+        else:
+            value = getattr(_gaussian(), field).copy()
+            value[index] = bad
+            kwargs = {field: value}
         with pytest.raises(ValueError):
             _gaussian(**kwargs)
 
@@ -316,6 +342,17 @@ class TestProject:
             assert np.array_equal(view.to_camera(points), cam)
             assert np.array_equal(pix, expected)
             assert np.array_equal(depth, z)
+
+    @pytest.mark.parametrize("eye", [(-5.0, 0.0, 0.0), (0.0, 7.0, 0.0), (0.0, 0.0, 4.0)])
+    def test_camera_plane_point_off_axis_gives_inf_without_warning(self, eye):
+        # The views look along an axis, so the points' camera z is exactly 0.
+        # Warnings are errors in this suite, so an overflow warning fails here.
+        view = CameraView.look_at(eye, (0, 0, 0), 500.0, 500.0, 319.5, 239.5, 640, 480)
+        right, down, _ = view.rotation
+        points = np.array([view.camera_center + right, view.camera_center + down, (0, 0, 0)])
+        pix, depth = view.project(points)
+        assert depth[0] == 0.0 and depth[1] == 0.0
+        assert np.array_equal(pix, [[np.inf, view.cy], [view.cx, np.inf], [view.cx, view.cy]])
 
     def test_outputs_are_separate_and_points_unchanged(self):
         view = CameraView.look_at((20, 3, 6), (0, 0, 0), 500.0, 480.0, 319.5, 239.5, 640, 480)
@@ -592,13 +629,14 @@ class TestGaussianSet:
             GaussianSet.from_gaussians([_gaussian()], building_ids=np.array([1, 2]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("field", ["positions", "scales", "rotations", "opacities", "colors"])
-    def test_validate_rejects_non_finite(self, field, bad):
+    @pytest.mark.parametrize("field, index", _component_params(
+        {"positions": 3, "scales": 3, "rotations": 4, "opacities": 1, "colors": 3}, first=False))
+    def test_validate_rejects_non_finite(self, field, index, bad):
         gs = GaussianSet.from_gaussians([_gaussian(), _gaussian(color=(0.5, 0.5, 0.5))])
         gs.validate()
         arrays = {name: getattr(gs, name).copy() for name in
                   ("positions", "scales", "rotations", "opacities", "colors")}
-        arrays[field].reshape(-1)[-1] = bad
+        arrays[field].reshape(2, -1)[-1, index] = bad  # in the last row
         with pytest.raises(ValueError):
             GaussianSet(**arrays).validate()
 
