@@ -25,6 +25,7 @@ ROTATION_ORTHO_TOL = 1e-6
 COV_BLOCK = 8192  # rows per block of covariances_from_arrays
 
 _F64_MAX = float(np.finfo(np.float64).max)
+_F64_TINY = float(np.finfo(np.float64).tiny)  # the depth project divides by at z == 0
 # (field, lower, upper, rule) of a gaussian, checked as lower <= v <= upper,
 # so NaN fails. Strict bounds are written as the nearest float64: "> 0" is
 # ">= 5e-324" and "finite" is within +-finfo.max. The rotation row bounds
@@ -99,6 +100,19 @@ def _covariance_entries(m):
         yield v
 
 
+def _pixel(v, f, d, c):
+    """Pixel coordinate f v / d + c of camera coordinate v at divisor depth d.
+
+    On floats it returns the value; on arrays it works in place in v, one
+    broadcast ufunc call per step. The steps and their order are the same
+    either way, so the two give the same bits.
+    """
+    v *= f
+    v /= d
+    v += c
+    return v
+
+
 def quat_to_rotation(q) -> np.ndarray:
     """Rotation matrix from a unit quaternion (w, x, y, z)."""
     w, x, y, z = np.asarray(q, dtype=np.float64).tolist()
@@ -150,6 +164,8 @@ class Gaussian3D:
     The fields are checked against the same _GAUSSIAN_BOUNDS table as
     `GaussianSet.validate`, read value by value: each component of position,
     scale and color, q.q of the rotation, and the opacity, as Python floats.
+    q.q is summed on Python floats too, so a component too large to square
+    gives q.q = inf and a ValueError, not an overflow warning.
     """
 
     position: np.ndarray
@@ -162,7 +178,8 @@ class Gaussian3D:
         for name, shape in (("position", (3,)), ("scale", (3,)), ("rotation", (4,)),
                             ("color", (3,))):
             object.__setattr__(self, name, _field(getattr(self, name), shape, name))
-        n2 = float(self.rotation @ self.rotation)
+        w, x, y, z = self.rotation.tolist()
+        n2 = w * w + x * x + y * y + z * z
         _check_gaussians(self.position.tolist(), self.scale.tolist(), (n2,),
                          (self.opacity,), self.color.tolist())
 
@@ -178,7 +195,7 @@ def quaternion_to_covariance(g: Gaussian3D) -> np.ndarray:
     r = _rotation_entries(*g.rotation.tolist())
     m = [[next(r) * sk for sk in s] for _ in range(3)]
     c00, c01, c02, c11, c12, c22 = _covariance_entries(m)
-    return np.array([[c00, c01, c02], [c01, c11, c12], [c02, c12, c22]])
+    return np.array([c00, c01, c02, c01, c11, c12, c02, c12, c22]).reshape(3, 3)
 
 
 def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray:
@@ -270,11 +287,8 @@ class GaussianSet:
         return covariances_from_arrays(self.scales, self.rotations)
 
     def to_gaussians(self) -> list[Gaussian3D]:
-        return [
-            Gaussian3D(self.positions[i], self.scales[i], self.rotations[i],
-                       float(self.opacities[i]), self.colors[i])
-            for i in range(len(self))
-        ]
+        return [Gaussian3D(*row) for row in zip(self.positions, self.scales, self.rotations,
+                                                self.opacities.tolist(), self.colors)]
 
     @staticmethod
     def from_gaussians(gaussians: Sequence[Gaussian3D],
@@ -366,7 +380,9 @@ class CameraView:
         one contiguous row at a time. Only the strides differ from a C-ordered
         (N,3) array; the values are the same.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        pts = np.asarray(points, dtype=np.float64)
+        if pts.ndim == 1:
+            pts = pts.reshape(1, -1)
         cam = self.rotation @ pts.T
         cam += self.translation[:, None]
         return cam.T
@@ -386,18 +402,30 @@ class CameraView:
         and offset by (cx, cy) in place, one broadcast ufunc call each, and
         the pixels are the (N,2) transpose of that block. Only their strides
         differ from a C-ordered (N,2) array, not their values.
+
+        One point is evaluated on Python floats with the same operations in
+        the same order, so its bits are those of the broadcast path; its
+        pixels and depth are fresh (1,2) and (1,) arrays, not views.
         """
-        cam = self.to_camera(points).T
+        cam = self.to_camera(points)
+        if len(cam) == 1:
+            x, y, z = cam[0].tolist()
+            d = z if z else _F64_TINY  # falsy at -0.0 too, as z == 0.0 below
+            # float() keeps a numpy scalar focal length (say float32) from
+            # setting the precision of the products.
+            return (np.array([[_pixel(x, float(self.fx), d, float(self.cx)),
+                               _pixel(y, float(self.fy), d, float(self.cy))]]),
+                    np.array([z]))
+        cam = cam.T
         xy, z = cam[:2], cam[2]
-        xy *= np.array([[self.fx], [self.fy]])
+        f, c = np.array([[self.fx], [self.fy]]), np.array([[self.cx], [self.cy]])
         if z.all():
-            xy /= z
+            _pixel(xy, f, z, c)
         else:
             # x / tiny overflows to +-inf once |fx x| exceeds about 4; that
             # result is expected, not an error worth a warning.
             with np.errstate(over="ignore"):
-                xy /= np.where(z == 0.0, np.finfo(np.float64).tiny, z)
-        xy += np.array([[self.cx], [self.cy]])
+                _pixel(xy, f, np.where(z == 0.0, _F64_TINY, z), c)
         return xy.T, z
 
     def unproject(self, pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:

@@ -304,24 +304,39 @@ class TestProjectPoint:
         assert np.allclose(pix, (50, 50), atol=1e-9)
 
 
+def _reference_projection(view, cam):
+    """(pixels, depths) of (N,3) camera-space points, as whole-array expressions."""
+    x, y, z = cam.T
+    safe_z = np.where(z == 0.0, np.finfo(np.float64).tiny, z)
+    return np.stack([view.fx * x / safe_z + view.cx, view.fy * y / safe_z + view.cy], axis=1), z
+
+
 class TestProject:
     def test_matches_reference_expression(self):
         # A cyclic permutation of the axes, so camera z = world x + 2 exactly.
         permuted = CameraView(np.array([[0.0, 1, 0], [0, 0, 1], [1, 0, 0]]),
                               np.array([0.5, -1.0, 2.0]), 120.0, 110.0, 64.0, 48.0, 128, 96)
         oblique = CameraView.look_at((4, -3, 2), (0, 0, 0), 120.0, 110.0, 64.0, 48.0, 128, 96)
+        # float32 intrinsics must not lower the precision of the products.
+        single = CameraView.look_at((4, -3, 2), (0, 0, 0), np.float32(120.3), np.float32(110.7),
+                                    np.float32(64.1), np.float32(47.9), 128, 96)
         points = np.random.default_rng(8).uniform(-5, 5, (20, 3))
         points[0] = (-2.0, -0.5 + 2.0**-30, 1.0)  # on the camera plane of `permuted`
         points[1] = (-5.0, 1.0, 2.0)  # behind `permuted`
-        for view in (permuted, oblique):
+        for view in (permuted, oblique, single):
             cam = points @ view.rotation.T + view.translation
-            x, y, z = cam.T
-            safe_z = np.where(z == 0.0, np.finfo(np.float64).tiny, z)
-            expected = np.stack([view.fx * x / safe_z + view.cx,
-                                 view.fy * y / safe_z + view.cy], axis=1)
+            expected, z = _reference_projection(view, cam)
             pix, depth = view.project(points)
             assert np.array_equal(pix, expected)
             assert np.array_equal(depth, z)
+            # One point takes the float path. Its reference is its own
+            # to_camera, whose bits may differ from its row of the batch.
+            for p in points:
+                expected, z = _reference_projection(view, view.to_camera(p[None]))
+                pix, depth = view.project(p[None])
+                assert pix.shape == (1, 2) and depth.shape == (1,)
+                assert np.array_equal(pix, expected)
+                assert np.array_equal(depth, z)
         pix, depth = permuted.project(points[:2])
         assert depth[0] == 0.0 and depth[1] < 0.0
         assert np.all(np.isfinite(pix))
@@ -334,10 +349,7 @@ class TestProject:
             view = CameraView.look_at(eye, (0.5, -0.2, 0.1), 500.0, 480.0, 319.5, 239.5,
                                       640, 480)
             cam = points @ view.rotation.T + view.translation
-            x, y, z = cam.T
-            safe_z = np.where(z == 0.0, np.finfo(np.float64).tiny, z)
-            expected = np.stack([view.fx * x / safe_z + view.cx,
-                                 view.fy * y / safe_z + view.cy], axis=1)
+            expected, z = _reference_projection(view, cam)
             pix, depth = view.project(points)
             assert np.array_equal(view.to_camera(points), cam)
             assert np.array_equal(pix, expected)
@@ -350,9 +362,13 @@ class TestProject:
         view = CameraView.look_at(eye, (0, 0, 0), 500.0, 500.0, 319.5, 239.5, 640, 480)
         right, down, _ = view.rotation
         points = np.array([view.camera_center + right, view.camera_center + down, (0, 0, 0)])
+        expected = [[np.inf, view.cy], [view.cx, np.inf], [view.cx, view.cy]]
         pix, depth = view.project(points)
         assert depth[0] == 0.0 and depth[1] == 0.0
-        assert np.array_equal(pix, [[np.inf, view.cy], [view.cx, np.inf], [view.cx, view.cy]])
+        assert np.array_equal(pix, expected)
+        for p, row in zip(points, expected):
+            pix, depth = view.project(p[None])
+            assert np.array_equal(pix, [row])
 
     def test_outputs_are_separate_and_points_unchanged(self):
         view = CameraView.look_at((20, 3, 6), (0, 0, 0), 500.0, 480.0, 319.5, 239.5, 640, 480)
@@ -367,6 +383,9 @@ class TestProject:
         pix, depth = view.project(np.empty((0, 3)))
         assert pix.shape == (0, 2) and depth.shape == (0,)
         assert view.to_camera(np.array([1.0, 2.0, 3.0])).shape == (1, 3)
+        pix, depth = view.project(np.array([1.0, 2.0, 3.0]))
+        assert pix.shape == (1, 2) and depth.shape == (1,)
+        assert not np.shares_memory(pix, depth)
 
 
 class TestCameraInvariants:
@@ -658,7 +677,8 @@ class TestGaussianSet:
     @pytest.mark.parametrize("factor, ok", [(1 - 0.5 * QUAT_NORM_TOL, True),
                                             (1 + 0.5 * QUAT_NORM_TOL, True),
                                             (1 - 2 * QUAT_NORM_TOL, False),
-                                            (1 + 2 * QUAT_NORM_TOL, False)])
+                                            (1 + 2 * QUAT_NORM_TOL, False),
+                                            (1e200, False)])  # q.q overflows to inf
     def test_quaternion_norm_bounds_agree(self, factor, ok):
         q = _random_unit_quat(np.random.default_rng(5)) * factor
         gs = GaussianSet(np.zeros((2, 3)), np.ones((2, 3)), np.array([[1.0, 0, 0, 0], q]),
