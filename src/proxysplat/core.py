@@ -68,6 +68,22 @@ def _field(a, shape, name, dtype=np.float64) -> np.ndarray:
     return out
 
 
+class _Value:
+    """Base of the value classes: their fields in order, and pickling through the constructor.
+
+    Unpickling and `copy.deepcopy` call the constructor with the field values,
+    so a copy is checked again and its array fields are read-only views, as
+    in the original.
+    """
+
+    def _columns(self) -> tuple:
+        """The fields in declaration order."""
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __reduce__(self):
+        return type(self), self._columns()
+
+
 def _rotation_entries(w, x, y, z):
     """The nine rotation entries of quaternion (w, x, y, z), row by row; floats or arrays."""
     yield 1 - 2 * (y * y + z * z)
@@ -156,7 +172,7 @@ class Point3:
 
 
 @dataclass(frozen=True)
-class Gaussian3D:
+class Gaussian3D(_Value):
     """One splat: position, anisotropic scale, rotation, opacity, RGB color.
 
     Color is view-independent (spherical harmonics degree 0).
@@ -232,11 +248,12 @@ def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray
 
 
 @dataclass(frozen=True)
-class GaussianSet:
+class GaussianSet(_Value):
     """Columnar set of gaussians; the workhorse container for rendering.
 
-    building_ids uses 0 for surround gaussians, positive ids for buildings,
-    and must hold integers in [0, 2**31 - 1].
+    building_ids is always an (N,) int32 array in [0, 2**31 - 1]: 0 for surround
+    gaussians, positive ids for buildings. A set built without ids is all
+    surround, its ids a read-only broadcast zero that takes no memory.
 
     The fields are read-only views, so writing through `gs.scales[...]`
     raises ValueError. Arrays the caller passes in that are already float64
@@ -249,21 +266,23 @@ class GaussianSet:
     rotations: np.ndarray  # (N, 4), unit quaternions
     opacities: np.ndarray  # (N,), in [0, 1]
     colors: np.ndarray  # (N, 3), in [0, 1]
-    building_ids: np.ndarray | None = None  # (N,) int32, optional
+    building_ids: np.ndarray | None = None  # (N,) int32; None gives all 0
 
     def __post_init__(self):
         n = len(self.positions)
         for name, shape in (("positions", (n, 3)), ("scales", (n, 3)), ("rotations", (n, 4)),
                             ("opacities", (n,)), ("colors", (n, 3))):
             object.__setattr__(self, name, _field(getattr(self, name), shape, name))
-        if self.building_ids is not None:
+        if self.building_ids is None:
+            ids = np.broadcast_to(np.int32(0), (n,))  # valid by construction, so not checked
+        else:
             ids = np.asarray(self.building_ids)
             # Checked before the int32 cast, which would wrap, truncate or
             # turn NaN into a negative id without an error.
             if ids.size and not (ids.dtype.kind in "iu" and 0 <= ids.min()
                                  and ids.max() <= np.iinfo(np.int32).max):
                 raise ValueError("building_ids must be integers in [0, 2**31 - 1]")
-            object.__setattr__(self, "building_ids", _field(ids, (n,), "building_ids", np.int32))
+        object.__setattr__(self, "building_ids", _field(ids, (n,), "building_ids", np.int32))
 
     def validate(self) -> None:
         if len(self) == 0:
@@ -276,12 +295,8 @@ class GaussianSet:
     def __len__(self) -> int:
         return len(self.positions)
 
-    def _columns(self) -> tuple:
-        """The fields in declaration order; building_ids may be None."""
-        return tuple(getattr(self, f.name) for f in fields(self))
-
     def select(self, index) -> "GaussianSet":
-        return GaussianSet(*(None if c is None else c[index] for c in self._columns()))
+        return GaussianSet(*(c[index] for c in self._columns()))
 
     def covariances(self) -> np.ndarray:
         return covariances_from_arrays(self.scales, self.rotations)
@@ -303,28 +318,19 @@ class GaussianSet:
         )
 
     @staticmethod
-    def empty(with_ids: bool = False) -> "GaussianSet":
-        ids = np.zeros(0, dtype=np.int32) if with_ids else None
-        return GaussianSet(np.zeros((0, 3)), np.ones((0, 3)), np.zeros((0, 4)),
-                           np.zeros(0), np.zeros((0, 3)), ids)
+    def empty() -> "GaussianSet":
+        return GaussianSet.from_gaussians([])
 
     @staticmethod
     def concatenate(sets: Iterable["GaussianSet"]) -> "GaussianSet":
-        # Empty sets hold no rows, so whether they carry ids does not matter.
-        indexed = [(i, s) for i, s in enumerate(sets) if len(s) > 0]
-        if not indexed:
+        columns = list(zip(*(s._columns() for s in sets)))
+        if not columns:
             return GaussianSet.empty()
-        missing = [i for i, s in indexed if s.building_ids is None]
-        if missing and len(missing) < len(indexed):
-            raise ValueError(f"concatenate: set {missing[0]} has no building_ids "
-                             "but other sets do")
-        # Either every set carries ids or none does.
-        columns = zip(*(s._columns() for _, s in indexed))
-        return GaussianSet(*(None if c[0] is None else np.concatenate(c) for c in columns))
+        return GaussianSet(*(np.concatenate(c) for c in columns))
 
 
 @dataclass(frozen=True)
-class CameraView:
+class CameraView(_Value):
     """Posed pinhole camera. Extrinsics map world to camera space.
 
     Camera space: x right, y down, z forward. Pixel coordinates follow
@@ -429,9 +435,13 @@ class CameraView:
         return xy.T, z
 
     def unproject(self, pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
-        """Inverse of project: pixel + camera-space depth -> world point."""
-        pix = np.atleast_2d(np.asarray(pixels, dtype=np.float64))
-        z = np.atleast_1d(np.asarray(depths, dtype=np.float64))
+        """Inverse of project: (N,2) pixels + (N,) camera-space depths -> (N,3) world points.
+
+        One (2,) pixel with a scalar depth is N = 1.
+        """
+        pix = np.atleast_2d(pixels)
+        pix = _field(pix, (len(pix), 2), "pixels")
+        z = _field(np.atleast_1d(depths), (len(pix),), "depths")
         x = (pix[:, 0] - self.cx) * z / self.fx
         y = (pix[:, 1] - self.cy) * z / self.fy
         cam = np.stack([x, y, z], axis=1)
@@ -442,6 +452,8 @@ class CameraView:
                 up=(0.0, 0.0, 1.0), image=None) -> "CameraView":
         eye = _field(eye, (3,), "eye")
         target = _field(target, (3,), "target")
+        if not (np.isfinite(eye).all() and np.isfinite(target).all()):
+            raise ValueError("eye and target must be finite")
         forward = target - eye
         norm = np.linalg.norm(forward)
         if norm == 0:
@@ -470,7 +482,7 @@ def project_point(view: CameraView, p) -> tuple[np.ndarray, float]:
 
 
 @dataclass(frozen=True)
-class Raster:
+class Raster(_Value):
     """Row-major image raster; 1 channel (mask/depth) or 3 (RGB).
 
     Depth rasters use +inf as the background sentinel.

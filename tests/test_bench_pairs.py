@@ -1,0 +1,67 @@
+import argparse
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+DIRECTIONS = {"gaussians_per_s": "higher", "op_p90_ms": "lower"}
+
+
+def _run(side, pair, gaussians_per_s, op_p90_ms, workload="w"):
+    return {"workload": workload, "seed": 100 + pair, "side": side, "trace": 0, "pair": pair,
+            "returncode": 0, "info": {}, "machine": None,
+            "result": {"metrics": {"gaussians_per_s": {"value": gaussians_per_s},
+                                   "op_p90_ms": {"value": op_p90_ms}},
+                       "failed": 0, "attempted": 4, "correct": True}}
+
+
+def _line(lines, metric):
+    (line,) = [x for x in lines if x.strip().startswith(metric + " ")]
+    return line
+
+
+def test_seeds():
+    assert bench_pairs.seeds("931-935") == [931, 932, 933, 934, 935]
+    assert bench_pairs.seeds("7") == [7]
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pairs.seeds("940-931")
+
+
+def test_an_empty_seed_range_stops_before_any_run(tmp_path):
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--out", str(out), "--workloads", "w", "--seeds", "940-931"])
+    assert not out.exists()
+
+
+def test_quartiles():
+    assert bench_pairs.quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == [2.0, 3.0, 4.0]
+    assert bench_pairs.quartiles([7.0]) == [7.0, 7.0, 7.0]
+
+
+def test_summary_counts_wins_by_direction_and_ties_for_neither():
+    parent = [(10.0, 5.0), (10.0, 5.0), (10.0, 5.0)]
+    change = [(10.0, 5.0), (11.0, 4.0), (9.0, 6.0)]  # a tie, a win, a loss on each metric
+    runs = [_run("parent", k, *v) for k, v in enumerate(parent)]
+    runs += [_run("change", k, *v) for k, v in enumerate(change)]
+    lines = bench_pairs.summary(runs, DIRECTIONS)
+    assert lines[0].startswith("== w: 3 pairs;")
+    assert "wins 1/3" in _line(lines, "gaussians_per_s")
+    assert "wins 1/3" in _line(lines, "op_p90_ms")  # a drop in a "lower" metric is its win
+    lower = bench_pairs.summary(
+        [_run("parent", 0, 10.0, 5.0), _run("change", 0, 10.0, 4.0)], DIRECTIONS)
+    assert "wins 1/1" in _line(lower, "op_p90_ms")
+    assert "wins 0/1" in _line(lower, "gaussians_per_s")
+
+
+def test_summary_reports_a_failed_run():
+    runs = [_run("parent", 0, 10.0, 5.0), {**_run("change", 0, 10.0, 5.0), "result": None},
+            _run("parent", 0, 10.0, 5.0, workload="v"), _run("change", 0, 11.0, 5.0, workload="v")]
+    lines = bench_pairs.summary(runs, DIRECTIONS)
+    assert "== w trace 0: a run failed" in lines
+    assert any(line.startswith("== v: 1 pairs;") for line in lines)

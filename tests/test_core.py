@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -208,6 +211,14 @@ class TestGaussianInvariants:
         with pytest.raises(ValueError):
             Point3(np.nan, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_point3_rejects_non_finite_components(self, index, bad):
+        xyz = [0.0, 0.0, 0.0]
+        xyz[index] = bad
+        with pytest.raises(ValueError):
+            Point3(*xyz)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_agrees_with_validate_of_one_row_set(self, data):
@@ -296,6 +307,27 @@ class TestProjectPoint:
         pix, depth = view.project(p.reshape(1, 3))
         back = view.unproject(pix, depth)
         assert np.allclose(back[0], p, atol=1e-9)
+
+    def test_point3_projects_as_its_tuple(self):
+        view = CameraView.look_at((3, 2, 1), (0, 0, 0), 100, 100, 50, 50, 100, 100)
+        for xyz in ((0.5, -0.25, 0.125), (0.0, 0.0, 0.0), (-3.0, 7.0, 2.0)):
+            pix, depth = project_point(view, Point3(*xyz))
+            expected_pix, expected_depth = project_point(view, xyz)
+            assert np.array_equal(pix, expected_pix) and depth == expected_depth
+
+    def test_unproject_checks_shapes(self):
+        view = CameraView.look_at((3, 2, 1), (0, 0, 0), 100, 100, 50, 50, 100, 100)
+        assert view.unproject(np.zeros((4, 2)), np.ones(4)).shape == (4, 3)
+        assert np.array_equal(view.unproject((50.0, 50.0), 2.0),
+                              view.unproject([[50.0, 50.0]], [2.0]))
+        with pytest.raises(ValueError, match="pixels"):
+            view.unproject(np.zeros((4, 3)), np.ones(4))  # the third column was dropped
+        with pytest.raises(ValueError, match="pixels"):
+            view.unproject(np.zeros((2, 2, 2)), np.ones(2))
+        with pytest.raises(ValueError, match="depths"):
+            view.unproject(np.zeros((4, 2)), np.ones(3))
+        with pytest.raises(ValueError, match="depths"):
+            view.unproject(np.zeros((4, 2)), 1.0)
 
     def test_camera_center_projects_through(self):
         view = CameraView.look_at((3, 2, 1), (0, 0, 0), 100, 100, 50, 50, 100, 100)
@@ -431,6 +463,16 @@ class TestCameraInvariants:
         with np.errstate(all="raise"), pytest.raises(ValueError):
             CameraView.look_at((3, 2, 1), (0, 0, 0), 100, 100, 50, 50, 100, 100, up=(0, 0, 0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("arg", ["eye", "target"])
+    def test_look_at_rejects_non_finite_eye_and_target(self, arg, index, bad):
+        # Warnings are errors in this suite, so a warning before the ValueError fails here.
+        points = {"eye": [3.0, 2.0, 1.0], "target": [0.0, 0.0, 0.0]}
+        points[arg][index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CameraView.look_at(points["eye"], points["target"], 100, 100, 50, 50, 100, 100)
+
     @pytest.mark.parametrize("width, height", [(0, 0), (0, 1), (1, 0), (np.nan, 1), (1, np.nan)])
     def test_rejects_resolution_below_one_pixel(self, width, height):
         with pytest.raises(ValueError):
@@ -546,6 +588,11 @@ class TestRaster:
         with pytest.raises(ValueError):
             Raster(4, 4, 2, np.zeros((4, 4, 2)))
 
+    @pytest.mark.parametrize("shape", [(3, 4, 2), (3, 4, 4), (12,)])
+    def test_from_array_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError):
+            Raster.from_array(np.zeros(shape))
+
     def test_data_is_read_only(self):
         data = np.zeros((2, 4))
         r = Raster.from_array(data)
@@ -589,12 +636,22 @@ class TestGaussianSet:
         assert len(merged) == 3
         assert merged.building_ids.tolist() == [1, 1, 2]
 
-    def test_concatenate_rejects_sets_without_ids_among_sets_with_ids(self):
+    def test_concatenate_gives_sets_without_ids_surround_ids(self):
         with_ids = GaussianSet.from_gaussians([_gaussian()], building_ids=np.array([3]))
         without = GaussianSet.from_gaussians([_gaussian()])
         assert GaussianSet.concatenate([GaussianSet.empty(), with_ids]).building_ids.tolist() == [3]
-        with pytest.raises(ValueError, match="set 2 "):
-            GaussianSet.concatenate([with_ids, GaussianSet.empty(), without, without])
+        ids = GaussianSet.concatenate([with_ids, GaussianSet.empty(), without, without]).building_ids
+        assert ids.tolist() == [3, 0, 0] and ids.dtype == np.int32
+        with pytest.raises(ValueError):
+            ids[0] = 1
+
+    def test_set_built_without_ids_is_all_surround(self):
+        gs = GaussianSet(np.zeros((5, 3)), np.ones((5, 3)), np.tile([1.0, 0, 0, 0], (5, 1)),
+                         np.ones(5), np.ones((5, 3)))
+        assert gs.building_ids.shape == (5,) and gs.building_ids.dtype == np.int32
+        assert not gs.building_ids.any()
+        with pytest.raises(ValueError):
+            gs.building_ids[0] = 1
 
     def test_select_and_concatenate_keep_columns_and_ids(self):
         rng = np.random.default_rng(6)
@@ -616,7 +673,8 @@ class TestGaussianSet:
         assert sub.building_ids.tolist() == [12, 0, 6, 6]
         no_ids = GaussianSet.concatenate([GaussianSet(*(getattr(s, c) for c in columns[:5]))
                                           for s in sets])
-        assert no_ids.building_ids is None and no_ids.select(index).building_ids is None
+        assert np.array_equal(no_ids.building_ids, np.zeros(9, np.int32))
+        assert np.array_equal(no_ids.select(index).building_ids, np.zeros(4, np.int32))
         assert np.array_equal(no_ids.select(index).colors, sub.colors)
 
     @pytest.mark.parametrize("ids", [[2**31, 0], [-5, 1], [-1, 0]])
@@ -672,7 +730,7 @@ class TestGaussianSet:
 
     def test_validate_accepts_empty_set(self):
         GaussianSet.empty().validate()
-        GaussianSet.empty(with_ids=True).validate()
+        assert GaussianSet.empty().building_ids.shape == (0,)
 
     @pytest.mark.parametrize("factor, ok", [(1 - 0.5 * QUAT_NORM_TOL, True),
                                             (1 + 0.5 * QUAT_NORM_TOL, True),
@@ -699,3 +757,25 @@ class TestGaussianSet:
         )
         with pytest.raises(ValueError):
             gs.validate()
+
+
+@pytest.mark.parametrize("value", [
+    pytest.param(GaussianSet(np.zeros((2, 3)), np.ones((2, 3)), np.tile([1.0, 0, 0, 0], (2, 1)),
+                             np.array([0.5, 1.0]), np.ones((2, 3)), np.array([0, 7])),
+                 id="GaussianSet"),
+    pytest.param(_gaussian(position=(1, 2, 3), opacity=0.5), id="Gaussian3D"),
+    pytest.param(CameraView.look_at((3, 2, 1), (0, 0, 0), 100, 100, 1.5, 1.0, 4, 3,
+                                    image=np.full((3, 4, 3), 0.25)), id="CameraView"),
+    pytest.param(Raster.full(4, 3, (0.1, 0.2, 0.3)), id="Raster"),
+])
+@pytest.mark.parametrize("clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_copies_keep_values_and_read_only_fields(value, clone):
+    other = clone(value)
+    assert type(other) is type(value)
+    for a, b in zip(other._columns(), value._columns()):
+        if isinstance(b, np.ndarray):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+            assert not a.flags.writeable
+        else:
+            assert a == b

@@ -4,15 +4,14 @@
         --workloads objects-2k train-1m eval-100k --seeds 931-940 \
         --traced objects-2k --traced-seeds 951-952
 
-HEAD is checked out with `git worktree add --detach` into a temporary
-directory, which is removed at the end. Both sides must have the same
-benchmark (BENCHMARK.json and the paths it lists), or the tool stops before
-any run. Each pair runs perfbench/run.py once on each side, for
-BENCHMARK.json's run_seconds, with this interpreter's full path; pair k runs
-the parent first when k is even and the change first when k is odd. A run
-that exits non-zero or leaves no readable result counts as failed. The output
-file holds
-every run's result line and machine record, and a summary per workload:
+HEAD is unpacked with `git archive` into a temporary directory, which is
+removed at the end. Both sides must have the same benchmark (BENCHMARK.json
+and the paths it lists), or the tool stops before any run. Each pair runs
+perfbench/run.py once on each side, for BENCHMARK.json's run_seconds, with
+this interpreter's full path; pair k runs the parent first when k is even and
+the change first when k is odd. A run that exits non-zero or leaves no
+readable result counts as failed. The output file holds every run's result
+line and machine record, and a summary per workload:
 median [quartiles] of each side, their ratio, the pairs the change wins, and
 the median gap against the parent's interquartile range.
 """
@@ -34,7 +33,10 @@ COMMAND = "<python3 full path> perfbench/run.py --workload <w> --seed <s> --seco
 
 def seeds(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    out = list(range(int(lo), int(hi or lo) + 1))
+    if not out:
+        raise argparse.ArgumentTypeError(f"the seed range {text} holds no seeds")
+    return out
 
 
 def run(side: str, tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -121,18 +123,16 @@ def main(argv=None) -> None:
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(tree), parent], cwd=ROOT,
-                       check=True, stdout=subprocess.DEVNULL)
-        try:
-            for workload, pair, seed, trace in plan:
-                order = [("parent", tree), ("change", ROOT)][::1 if pair % 2 == 0 else -1]
-                for i, (side, where) in enumerate(order):
-                    r = run(side, where, workload, seed, seconds, trace)
-                    runs.append({**r, "pair": pair, "first": i == 0})
-                    print(f"{workload} seed {seed} trace {trace} {side}: exit {r['returncode']}",
-                          file=sys.stderr, flush=True)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(tree)], cwd=ROOT)
+        tree.mkdir()
+        subprocess.run(["git", "archive", "--output", f"{tree}.tar", parent], cwd=ROOT, check=True)
+        subprocess.run(["tar", "-xf", f"{tree}.tar", "-C", str(tree)], check=True)
+        for workload, pair, seed, trace in plan:
+            order = [("parent", tree), ("change", ROOT)][::1 if pair % 2 == 0 else -1]
+            for i, (side, where) in enumerate(order):
+                r = run(side, where, workload, seed, seconds, trace)
+                runs.append({**r, "pair": pair, "first": i == 0})
+                print(f"{workload} seed {seed} trace {trace} {side}: exit {r['returncode']}",
+                      file=sys.stderr, flush=True)
     out = {
         "what": "perfbench/run.py, parent commit vs this change, alternating pairs; each run's "
                 "last stdout line (its JSON result) with its workload, seed, side, trace flag, "
