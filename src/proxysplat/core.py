@@ -1,4 +1,4 @@
-"""Shared scene data model: points, gaussians, meshes, cameras, rasters.
+"""Shared scene data model: points, gaussians, cameras, rasters.
 
 Everything here is immutable value data once constructed; downstream stages
 never mutate these objects in place. Every array field is a read-only view,
@@ -9,7 +9,7 @@ memory, and the caller must not write to its own handle afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ QUAT_NORM_TOL = 1e-6
 QUAT_NORM2_MIN = (1 - QUAT_NORM_TOL) ** 2
 QUAT_NORM2_MAX = (1 + QUAT_NORM_TOL) ** 2
 ROTATION_ORTHO_TOL = 1e-6
-COV_BLOCK = 8192  # rows per block of covariances_from_arrays
+COV_BLOCK = 8192  # rows per block of covariances_from_arrays and of validate's q.q
 
 _F64_MAX = float(np.finfo(np.float64).max)
 _F64_TINY = float(np.finfo(np.float64).tiny)  # the depth project divides by at z == 0
@@ -82,6 +82,15 @@ class _Value:
 
     def __reduce__(self):
         return type(self), self._columns()
+
+
+def _quat_norm2(w, x, y, z):
+    """q.q of quaternion (w, x, y, z) summed left to right, floats or arrays (in place)."""
+    n2 = w * w
+    n2 += x * x
+    n2 += y * y
+    n2 += z * z
+    return n2
 
 
 def _rotation_entries(w, x, y, z):
@@ -180,7 +189,7 @@ class Gaussian3D(_Value):
     The fields are checked against the same _GAUSSIAN_BOUNDS table as
     `GaussianSet.validate`, read value by value: each component of position,
     scale and color, q.q of the rotation, and the opacity, as Python floats.
-    q.q is summed on Python floats too, so a component too large to square
+    q.q is `_quat_norm2` on Python floats, so a component too large to square
     gives q.q = inf and a ValueError, not an overflow warning.
     """
 
@@ -194,8 +203,7 @@ class Gaussian3D(_Value):
         for name, shape in (("position", (3,)), ("scale", (3,)), ("rotation", (4,)),
                             ("color", (3,))):
             object.__setattr__(self, name, _field(getattr(self, name), shape, name))
-        w, x, y, z = self.rotation.tolist()
-        n2 = w * w + x * x + y * y + z * z
+        n2 = _quat_norm2(*self.rotation.tolist())
         _check_gaussians(self.position.tolist(), self.scale.tolist(), (n2,),
                          (self.opacity,), self.color.tolist())
 
@@ -287,10 +295,17 @@ class GaussianSet(_Value):
     def validate(self) -> None:
         if len(self) == 0:
             return  # min and max below are undefined on empty arrays
-        # The min/max reductions make no full-size temporaries.
-        n2 = np.einsum("ij,ij->i", self.rotations, self.rotations)
+        # The min/max reductions make no full-size temporaries, and q.q is
+        # summed and reduced a block of rows at a time, while the block is in
+        # cache. A q.q that overflows is inf and fails the check, so it is not
+        # worth a warning.
+        n2 = []
+        with np.errstate(over="ignore"):
+            for lo in range(0, len(self), COV_BLOCK):
+                block = _quat_norm2(*self.rotations[lo:lo + COV_BLOCK].T)
+                n2 += block.min(), block.max()
         _check_gaussians(*((a.min(), a.max()) for a in (
-            self.positions, self.scales, n2, self.opacities, self.colors)))
+            self.positions, self.scales, np.array(n2), self.opacities, self.colors)))
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -335,7 +350,9 @@ class CameraView(_Value):
 
     Camera space: x right, y down, z forward. Pixel coordinates follow
     pixel = (fx * x/z + cx, fy * y/z + cy); raster pixel [row, col]
-    samples the image plane at (x=col, y=row).
+    samples the image plane at (x=col, y=row). A view holds no image: a
+    target photo is a (height, width, 3) `Raster` that the caller pairs
+    with its view.
     """
 
     rotation: np.ndarray  # (3, 3) world-to-camera
@@ -346,7 +363,6 @@ class CameraView(_Value):
     cy: float
     width: int
     height: int
-    image: np.ndarray | None = None  # (H, W, 3) ground truth in [0, 1]
 
     def __post_init__(self):
         object.__setattr__(self, "rotation", _field(self.rotation, (3, 3), "rotation"))
@@ -365,30 +381,25 @@ class CameraView(_Value):
             raise ValueError("extrinsic rotation must be orthonormal")
         if not np.linalg.det(self.rotation) > 0:
             raise ValueError("extrinsic rotation must have det +1, not be a reflection")
-        if self.image is not None:
-            img = _field(self.image, (self.height, self.width, 3), "image")
-            if not (0 <= img.min() and img.max() <= 1):
-                raise ValueError("image values must be in [0, 1]")
-            object.__setattr__(self, "image", img)
 
     @property
     def camera_center(self) -> np.ndarray:
         return -self.rotation.T @ self.translation
 
-    def with_image(self, image: np.ndarray) -> "CameraView":
-        return replace(self, image=image)
-
     def to_camera(self, points: np.ndarray) -> np.ndarray:
-        """(N,3) world points -> (N,3) camera-space points R p + t.
+        """(N,3) world points -> (N,3) camera-space points R p + t; one (3,) point is N = 1.
 
-        The result is the (N,3) transpose of a (3,N) buffer, so each
-        coordinate over all points is contiguous and the translation is added
-        one contiguous row at a time. Only the strides differ from a C-ordered
-        (N,3) array; the values are the same.
+        Any other shape of `points` is a ValueError. The result is the (N,3)
+        transpose of a (3,N) buffer, so each coordinate over all points is
+        contiguous and the translation is added one contiguous row at a time.
+        Only the strides differ from a C-ordered (N,3) array; the values are
+        the same.
         """
         pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1)
+        if pts.shape == (3,):
+            pts = pts.reshape(1, 3)
+        elif pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValueError(f"points: expected shape (N, 3) or (3,), got {pts.shape}")
         cam = self.rotation @ pts.T
         cam += self.translation[:, None]
         return cam.T
@@ -448,29 +459,28 @@ class CameraView(_Value):
         return (cam - self.translation) @ self.rotation
 
     @staticmethod
-    def look_at(eye, target, fx, fy, cx, cy, width, height,
-                up=(0.0, 0.0, 1.0), image=None) -> "CameraView":
+    def look_at(eye, target, fx, fy, cx, cy, width, height) -> "CameraView":
+        """The view from `eye` to `target`, world +z up; near +-z, world +x stands in for up."""
         eye = _field(eye, (3,), "eye")
         target = _field(target, (3,), "target")
         if not (np.isfinite(eye).all() and np.isfinite(target).all()):
             raise ValueError("eye and target must be finite")
-        forward = target - eye
-        norm = np.linalg.norm(forward)
-        if norm == 0:
-            raise ValueError("eye and target coincide")
-        forward = forward / norm
-        up = _field(up, (3,), "up")
-        up_norm = np.linalg.norm(up)
-        if not 0 < up_norm < np.inf:
-            raise ValueError(f"up must be a finite, non-zero vector, got {up}")
-        if abs(np.dot(forward, up) / up_norm) > 0.999:
-            up = np.array([1.0, 0.0, 0.0])
-        right = np.cross(forward, up)
+        with np.errstate(over="ignore"):
+            forward = target - eye
+        big = np.abs(forward).max()
+        if not 0 < big < np.inf:
+            raise ValueError("eye and target coincide" if big == 0 else
+                             "target - eye overflows float64")
+        # Scaled by a power of two near its largest component, its norm cannot
+        # overflow; a power of two is exact, so forward / norm keeps its bits.
+        forward = np.ldexp(forward, -np.frexp(big)[1])
+        forward /= np.linalg.norm(forward)
+        right = np.cross(forward, (0.0, 0.0, 1.0) if abs(forward[2]) <= 0.999 else (1.0, 0.0, 0.0))
         right /= np.linalg.norm(right)
         down = np.cross(forward, right)
         R = np.stack([right, down, forward])
         t = -R @ eye
-        return CameraView(R, t, fx, fy, cx, cy, width, height, image)
+        return CameraView(R, t, fx, fy, cx, cy, width, height)
 
 
 def project_point(view: CameraView, p) -> tuple[np.ndarray, float]:
@@ -483,38 +493,24 @@ def project_point(view: CameraView, p) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class Raster(_Value):
-    """Row-major image raster; 1 channel (mask/depth) or 3 (RGB).
+    """Row-major float64 image raster: (H, W) for 1 channel (mask/depth), (H, W, 3) for RGB.
 
+    Its only field is `data`: height, width and channels are `data.shape`.
     Depth rasters use +inf as the background sentinel.
     """
 
-    width: int
-    height: int
-    channels: int
-    data: np.ndarray  # (H, W) if channels == 1 else (H, W, 3)
+    data: np.ndarray
 
     def __post_init__(self):
-        if self.channels not in (1, 3):
-            raise ValueError("channels must be 1 or 3")
-        expected = (self.height, self.width) if self.channels == 1 else (self.height, self.width, 3)
-        object.__setattr__(self, "data", _field(self.data, expected, "raster data"))
-
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "Raster":
-        arr = np.asarray(arr)
-        if arr.ndim == 2:
-            return Raster(arr.shape[1], arr.shape[0], 1, arr)
-        if arr.ndim == 3 and arr.shape[2] == 3:
-            return Raster(arr.shape[1], arr.shape[0], 3, arr)
-        raise ValueError("array must be (H, W) or (H, W, 3)")
+        shape = np.shape(self.data)
+        if not (len(shape) == 2 or shape[2:] == (3,)):
+            raise ValueError(f"raster data: expected shape (H, W) or (H, W, 3), got {shape}")
+        object.__setattr__(self, "data", _field(self.data, shape, "raster data"))
 
     @staticmethod
     def full(width: int, height: int, value, channels: int = 3) -> "Raster":
-        if channels == 1:
-            return Raster(width, height, 1, np.full((height, width), value, dtype=np.float64))
-        data = np.empty((height, width, 3), dtype=np.float64)
-        data[...] = np.asarray(value, dtype=np.float64)
-        return Raster(width, height, 3, data)
+        data = np.full((height, width, channels), value, dtype=np.float64)
+        return Raster(data[..., 0] if channels == 1 else data)
 
 
 def psnr(a, b) -> float:

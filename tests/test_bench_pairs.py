@@ -49,12 +49,12 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
     change = [(10.0, 5.0), (11.0, 4.0), (9.0, 6.0)]  # a tie, a win, a loss on each metric
     runs = [_run("parent", k, *v) for k, v in enumerate(parent)]
     runs += [_run("change", k, *v) for k, v in enumerate(change)]
-    lines = bench_pairs.summary(runs, DIRECTIONS)
+    lines = bench_pairs.summary(runs, DIRECTIONS, {})
     assert lines[0].startswith("== w: 3 pairs;")
     assert "wins 1/3" in _line(lines, "gaussians_per_s")
     assert "wins 1/3" in _line(lines, "op_p90_ms")  # a drop in a "lower" metric is its win
     lower = bench_pairs.summary(
-        [_run("parent", 0, 10.0, 5.0), _run("change", 0, 10.0, 4.0)], DIRECTIONS)
+        [_run("parent", 0, 10.0, 5.0), _run("change", 0, 10.0, 4.0)], DIRECTIONS, {})
     assert "wins 1/1" in _line(lower, "op_p90_ms")
     assert "wins 0/1" in _line(lower, "gaussians_per_s")
 
@@ -62,6 +62,29 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
 def test_summary_reports_a_failed_run():
     runs = [_run("parent", 0, 10.0, 5.0), {**_run("change", 0, 10.0, 5.0), "result": None},
             _run("parent", 0, 10.0, 5.0, workload="v"), _run("change", 0, 11.0, 5.0, workload="v")]
-    lines = bench_pairs.summary(runs, DIRECTIONS)
+    lines = bench_pairs.summary(runs, DIRECTIONS, {})
     assert "== w trace 0: a run failed" in lines
     assert any(line.startswith("== v: 1 pairs;") for line in lines)
+
+
+def test_verdict_against_the_bound():
+    parent = [9.0, 10.0, 10.0, 10.0, 11.0]  # median 10, IQR 0
+    assert bench_pairs.verdict(parent, [12.4] * 5, "lower", 0.25) == "within bound 0.25"
+    assert bench_pairs.verdict(parent, [12.6] * 5, "lower", 0.25) == "worse bound 0.25"
+    assert bench_pairs.verdict(parent, [7.6] * 5, "higher", 0.25) == "within bound 0.25"
+    assert bench_pairs.verdict(parent, [7.4] * 5, "higher", 0.25) == "worse bound 0.25"
+    assert bench_pairs.verdict(parent, [1.0] * 5, "lower", 0.25) == "within bound 0.25"
+    # The parent's spread is wider than the bound: no verdict either way.
+    # Quartiles 0.0605, 0.0710, 0.0798: IQR / median 0.27, as objects-2k setup_s in BENCH_10.json.
+    noisy = [0.0550, 0.0605, 0.0710, 0.0798, 0.0900]
+    assert bench_pairs.quartiles(noisy) == [0.0605, 0.0710, 0.0798]
+    assert bench_pairs.verdict(noisy, [0.0735] * 5, "lower", 0.25).startswith("unresolved")
+    assert bench_pairs.verdict(noisy, [0.0900] * 5, "lower", 0.25).startswith("unresolved")
+
+
+def test_summary_gives_a_verdict_only_to_bounded_metrics():
+    runs = [_run("parent", k, 10.0, 5.0) for k in range(3)]
+    runs += [_run("change", k, 10.0, 7.0) for k in range(3)]
+    lines = bench_pairs.summary(runs, DIRECTIONS, {"op_p90_ms": 0.2})
+    assert _line(lines, "op_p90_ms").endswith("worse bound 0.2")
+    assert "bound" not in _line(lines, "gaussians_per_s")

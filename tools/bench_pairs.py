@@ -12,8 +12,9 @@ this interpreter's full path; pair k runs the parent first when k is even and
 the change first when k is odd. A run that exits non-zero or leaves no
 readable result counts as failed. The output file holds every run's result
 line and machine record, and a summary per workload:
-median [quartiles] of each side, their ratio, the pairs the change wins, and
-the median gap against the parent's interquartile range.
+median [quartiles] of each side, their ratio, the pairs the change wins, the
+median gap against the parent's interquartile range and, for each end-to-end
+metric, a verdict against its BENCHMARK.json bound (see `verdict`).
 """
 
 from __future__ import annotations
@@ -65,7 +66,18 @@ def quartiles(v: list[float]) -> list[float]:
     return statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3
 
 
-def summary(runs: list[dict], directions: dict[str, str]) -> list[str]:
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """`worse` when the change's median is worse than the parent's by more than `bound`, as a
+    share of the parent's median, else `within`; `unresolved` when the parent's IQR / median
+    is wider than `bound`, since the parent's own spread then hides a change of that size."""
+    (p1, pm, p3), cm = quartiles(parent), statistics.median(change)
+    if not p3 - p1 <= bound * abs(pm):
+        return f"unresolved (parent IQR {p3 - p1:.4g} > bound {bound} x median {pm:.4g})"
+    worse = (cm - pm if better == "lower" else pm - cm) > bound * abs(pm)
+    return f"{'worse' if worse else 'within'} bound {bound}"
+
+
+def summary(runs: list[dict], directions: dict[str, str], bounds: dict[str, float]) -> list[str]:
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
         for trace in (0, 1):
@@ -92,10 +104,12 @@ def summary(runs: list[dict], directions: dict[str, str]) -> list[str]:
                 (p1, pm, p3), (c1, cm, c3) = quartiles(p), quartiles(c)
                 sign = 1 if better == "higher" else -1
                 wins = sum(sign * (b - a) > 0 for a, b in zip(p, c))
+                bound = bounds.get(metric)
                 lines.append(
                     f"  {metric:<{width}} parent {pm:.4g} [{p1:.4g}, {p3:.4g}] -> change {cm:.4g} "
                     f"[{c1:.4g}, {c3:.4g}]  ratio {cm / pm if pm else float('nan'):.3f}  "
-                    f"wins {wins}/{len(p)}  gap {cm - pm:.4g} vs parent IQR {p3 - p1:.4g}")
+                    f"wins {wins}/{len(p)}  gap {cm - pm:.4g} vs parent IQR {p3 - p1:.4g}"
+                    + (f"  {verdict(p, c, better, bound)}" if bound is not None else ""))
     return lines
 
 
@@ -110,6 +124,7 @@ def main(argv=None) -> None:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]} | {"op_p50_ms": "lower"}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     harness = ["BENCHMARK.json", *spec["paths"]]
     changed = subprocess.run(["git", "status", "--porcelain", "--untracked-files=all", "--",
                               *harness], cwd=ROOT, check=True, stdout=subprocess.PIPE,
@@ -139,7 +154,7 @@ def main(argv=None) -> None:
                 "and the info and machine record from its results file",
         "command": COMMAND, "parent": parent,
         "pairing": "pair k runs the parent first when k is even and the change first when k is odd",
-        "summary": summary(runs, directions), "runs": runs,
+        "summary": summary(runs, directions, bounds), "runs": runs,
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     print("\n".join(out["summary"]))
