@@ -5,11 +5,15 @@ never mutate these objects in place. Every array field is a read-only view,
 so writing through it raises ValueError. An array the caller passes in that
 already has the field's dtype is not copied: the field views the caller's
 memory, and the caller must not write to its own handle afterwards.
+
+A gaussian's fields, shapes and bounds are written once, in the record table `_GAUSSIAN`.
+Every array argument passes `_field`: real numbers of a shape whose None lengths match any.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,21 +30,21 @@ COV_BLOCK = 8192  # rows per block of covariances_from_arrays and of validate's 
 
 _F64_MAX = float(np.finfo(np.float64).max)
 _F64_TINY = float(np.finfo(np.float64).tiny)  # the depth project divides by at z == 0
-# (field, lower, upper, rule) of a gaussian, checked as lower <= v <= upper,
-# so NaN fails. Strict bounds are written as the nearest float64: "> 0" is
-# ">= 5e-324" and "finite" is within +-finfo.max. The rotation row bounds
-# q.q, not the components.
-_GAUSSIAN_BOUNDS = (
-    ("position", -_F64_MAX, _F64_MAX, "finite"),
-    ("scale", 5e-324, _F64_MAX, "finite and > 0"),
-    ("rotation", QUAT_NORM2_MIN, QUAT_NORM2_MAX, "a unit quaternion"),
-    ("opacity", 0.0, 1.0, "in [0, 1]"),
-    ("color", 0.0, 1.0, "in [0, 1]"),
+# The record of one gaussian (Kerbl et al. 2023), a row per field in GaussianSet column
+# order: (name, shape of one value, lower, upper, rule), checked as lower <= v <= upper,
+# so NaN fails. Strict bounds are the nearest float64: "> 0" is ">= 5e-324" and "finite"
+# is within +-finfo.max. The rotation row bounds q.q, not the components.
+_GAUSSIAN = (
+    ("position", (3,), -_F64_MAX, _F64_MAX, "finite"),
+    ("scale", (3,), 5e-324, _F64_MAX, "finite and > 0"),
+    ("rotation", (4,), QUAT_NORM2_MIN, QUAT_NORM2_MAX, "a unit quaternion"),
+    ("opacity", (), 0.0, 1.0, "in [0, 1]"),
+    ("color", (3,), 0.0, 1.0, "in [0, 1]"),
 )
 
 
 def _check_gaussians(*values) -> None:
-    """Raise ValueError unless every value lies in its _GAUSSIAN_BOUNDS row.
+    """Raise ValueError unless every value lies within the bounds of its _GAUSSIAN row.
 
     One table, read two ways: `Gaussian3D` passes each field's own values,
     as Python floats, and `GaussianSet.validate` passes each column's
@@ -48,7 +52,7 @@ def _check_gaussians(*values) -> None:
     fails wherever it sits; the builtin min and max are not used, since
     their result with NaN depends on the order of the values.
     """
-    for (name, lower, upper, rule), vs in zip(_GAUSSIAN_BOUNDS, values):
+    for (name, _, lower, upper, rule), vs in zip(_GAUSSIAN, values):
         for v in vs:
             if not lower <= v <= upper:
                 raise ValueError(f"gaussian {name} must be {rule}")
@@ -57,10 +61,17 @@ def _check_gaussians(*values) -> None:
 def _field(a, shape, name, dtype=np.float64) -> np.ndarray:
     """`a` as a read-only `dtype` array of `shape`; otherwise ValueError naming `name`.
 
+    A length of None in `shape` matches any length. Only real numbers (dtype kind
+    b, i, u or f) are taken; any other kind is a ValueError, not a lossy cast or a parse.
     Not a copy when `a` has `dtype` already, and a read-only array comes back as it is.
     """
-    out = np.asarray(a, dtype=dtype)
-    if out.shape != shape:
+    out = np.asarray(a)
+    if out.dtype != dtype:
+        if out.dtype.kind not in "biuf":
+            raise ValueError(f"{name}: expected real numbers, got dtype {out.dtype}")
+        out = out.astype(dtype)
+    if out.shape != shape and not (
+            out.ndim == len(shape) and all(s in (None, k) for s, k in zip(shape, out.shape))):
         raise ValueError(f"{name}: expected shape {shape}, got {out.shape}")
     if out.flags.writeable:
         out = out.view()  # a copy would double the memory of a large set
@@ -140,7 +151,7 @@ def _pixel(v, f, d, c):
 
 def quat_to_rotation(q) -> np.ndarray:
     """Rotation matrix from a unit quaternion (w, x, y, z)."""
-    w, x, y, z = np.asarray(q, dtype=np.float64).tolist()
+    w, x, y, z = _field(q, (4,), "q").tolist()
     return np.fromiter(_rotation_entries(w, x, y, z), np.float64, 9).reshape(3, 3)
 
 
@@ -151,12 +162,9 @@ def quats_to_rotations(quats: np.ndarray) -> np.ndarray:
     (3,3,N) buffer, so each entry R[:, i, j] over all rows is contiguous and
     the nine entries are written from contiguous columns w, x, y, z.
     """
-    q = np.asarray(quats, dtype=np.float64)
-    if q.ndim != 2 or q.shape[1] != 4:
-        raise ValueError(f"quats: expected shape (N, 4), got {q.shape}")
-    w, x, y, z = q.T.copy()
+    q = _field(quats, (None, 4), "quats")
     R = np.empty((3, 3, len(q)))
-    entries = _rotation_entries(w, x, y, z)
+    entries = _rotation_entries(*q.T.copy())
     # Each entry is stored before the next is computed, so at most one
     # full-size entry is alive at a time.
     for row in R.reshape(9, len(q)):
@@ -186,7 +194,7 @@ class Gaussian3D(_Value):
 
     Color is view-independent (spherical harmonics degree 0).
 
-    The fields are checked against the same _GAUSSIAN_BOUNDS table as
+    The fields are checked against the same _GAUSSIAN table as
     `GaussianSet.validate`, read value by value: each component of position,
     scale and color, q.q of the rotation, and the opacity, as Python floats.
     q.q is `_quat_norm2` on Python floats, so a component too large to square
@@ -200,9 +208,9 @@ class Gaussian3D(_Value):
     color: np.ndarray
 
     def __post_init__(self):
-        for name, shape in (("position", (3,)), ("scale", (3,)), ("rotation", (4,)),
-                            ("color", (3,))):
-            object.__setattr__(self, name, _field(getattr(self, name), shape, name))
+        for name, shape, _, _, _ in _GAUSSIAN:
+            if shape:  # opacity stays the scalar it was given
+                object.__setattr__(self, name, _field(getattr(self, name), shape, name))
         n2 = _quat_norm2(*self.rotation.tolist())
         _check_gaussians(self.position.tolist(), self.scale.tolist(), (n2,),
                          (self.opacity,), self.color.tolist())
@@ -238,13 +246,10 @@ def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray
     is a contiguous run. Only the strides differ from a C-ordered (N,3,3)
     array; the values are the same.
     """
-    q = np.asarray(quats)
-    s = np.asarray(scales)
-    n = len(q)
-    if s.shape != (n, 3):
-        raise ValueError(f"scales: expected shape {(n, 3)}, got {s.shape}")
-    out = np.empty((3, 3, n))
-    for lo in range(0, n, COV_BLOCK):
+    q = _field(quats, (None, 4), "quats")
+    s = _field(scales, (len(q), 3), "scales")
+    out = np.empty((3, 3, len(q)))
+    for lo in range(0, len(q), COV_BLOCK):
         hi = lo + COV_BLOCK
         M = quats_to_rotations(q[lo:hi]).transpose(1, 2, 0)
         M *= s[lo:hi].T
@@ -277,10 +282,10 @@ class GaussianSet(_Value):
     building_ids: np.ndarray | None = None  # (N,) int32; None gives all 0
 
     def __post_init__(self):
-        n = len(self.positions)
-        for name, shape in (("positions", (n, 3)), ("scales", (n, 3)), ("rotations", (n, 4)),
-                            ("opacities", (n,)), ("colors", (n, 3))):
-            object.__setattr__(self, name, _field(getattr(self, name), shape, name))
+        n = None  # positions may have any length; the other columns must match it
+        for f, (_, shape, _, _, _) in zip(fields(self), _GAUSSIAN):
+            object.__setattr__(self, f.name, _field(getattr(self, f.name), (n, *shape), f.name))
+            n = len(self.positions)
         if self.building_ids is None:
             ids = np.broadcast_to(np.int32(0), (n,))  # valid by construction, so not checked
         else:
@@ -323,14 +328,9 @@ class GaussianSet(_Value):
     @staticmethod
     def from_gaussians(gaussians: Sequence[Gaussian3D],
                        building_ids=None) -> "GaussianSet":
-        return GaussianSet(
-            np.array([g.position for g in gaussians], np.float64).reshape(-1, 3),
-            np.array([g.scale for g in gaussians], np.float64).reshape(-1, 3),
-            np.array([g.rotation for g in gaussians], np.float64).reshape(-1, 4),
-            np.array([g.opacity for g in gaussians], np.float64),
-            np.array([g.color for g in gaussians], np.float64).reshape(-1, 3),
-            building_ids,
-        )
+        n = len(gaussians)
+        return GaussianSet(*(np.array([*map(attrgetter(name), gaussians)], np.float64).reshape(
+            n, *shape) for name, shape, _, _, _ in _GAUSSIAN), building_ids)
 
     @staticmethod
     def empty() -> "GaussianSet":
@@ -368,8 +368,8 @@ class CameraView(_Value):
         object.__setattr__(self, "rotation", _field(self.rotation, (3, 3), "rotation"))
         object.__setattr__(self, "translation", _field(self.translation, (3,), "translation"))
         # Every check is written so that NaN fails it, as in _check_gaussians.
-        if not (1 <= self.width and 1 <= self.height):
-            raise ValueError("image width and height must be >= 1")
+        if not all(1 <= v and float(v).is_integer() for v in (self.width, self.height)):
+            raise ValueError("image width and height must be integers >= 1")
         if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
             raise ValueError("focal lengths must be finite and > 0")
         if not (-0.5 <= self.cx <= self.width - 0.5 and -0.5 <= self.cy <= self.height - 0.5):
@@ -389,11 +389,11 @@ class CameraView(_Value):
     def to_camera(self, points: np.ndarray) -> np.ndarray:
         """(N,3) world points -> (N,3) camera-space points R p + t; one (3,) point is N = 1.
 
-        Any other shape of `points` is a ValueError. The result is the (N,3)
-        transpose of a (3,N) buffer, so each coordinate over all points is
-        contiguous and the translation is added one contiguous row at a time.
-        Only the strides differ from a C-ordered (N,3) array; the values are
-        the same.
+        Any other shape of `points` is a ValueError, checked here and not by `_field`:
+        `project_point` calls this once per point and so skips the cost of a read-only view.
+        The result is the (N,3) transpose of a (3,N) buffer, so each coordinate over all
+        points is contiguous and the translation is added one contiguous row at a time.
+        Only the strides differ from a C-ordered (N,3) array; the values are the same.
         """
         pts = np.asarray(points, dtype=np.float64)
         if pts.shape == (3,):
@@ -450,8 +450,7 @@ class CameraView(_Value):
 
         One (2,) pixel with a scalar depth is N = 1.
         """
-        pix = np.atleast_2d(pixels)
-        pix = _field(pix, (len(pix), 2), "pixels")
+        pix = _field(np.atleast_2d(pixels), (None, 2), "pixels")
         z = _field(np.atleast_1d(depths), (len(pix),), "depths")
         x = (pix[:, 0] - self.cx) * z / self.fx
         y = (pix[:, 1] - self.cy) * z / self.fy
@@ -516,12 +515,12 @@ class Raster(_Value):
 def psnr(a, b) -> float:
     """Peak signal-to-noise ratio in dB, peak 1.0, capped at 99 for zero MSE.
 
-    Raises ValueError when the shapes differ, the images are empty or they
-    hold NaN or inf. The squared error is summed in blocks of PSNR_BLOCK
-    values through one scratch block, so no full-size temporary is made.
+    Raises ValueError when the shapes differ, the images are empty or not real
+    numbers, or they hold NaN or inf. The squared error is summed in blocks of
+    PSNR_BLOCK values through one scratch block, so no full-size temporary is made.
     """
-    arr_a = a.data if isinstance(a, Raster) else np.asarray(a, dtype=np.float64)
-    arr_b = b.data if isinstance(b, Raster) else np.asarray(b, dtype=np.float64)
+    arr_a = a.data if isinstance(a, Raster) else _field(a, np.shape(a), "psnr a")
+    arr_b = b.data if isinstance(b, Raster) else _field(b, np.shape(b), "psnr b")
     if arr_a.shape != arr_b.shape:
         raise ValueError(f"psnr: shape mismatch {arr_a.shape} vs {arr_b.shape}")
     n = arr_a.size

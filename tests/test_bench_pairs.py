@@ -12,12 +12,12 @@ _spec.loader.exec_module(bench_pairs)
 DIRECTIONS = {"gaussians_per_s": "higher", "op_p90_ms": "lower"}
 
 
-def _run(side, pair, gaussians_per_s, op_p90_ms, workload="w"):
+def _run(side, pair, gaussians_per_s, op_p90_ms, workload="w", failed=0, attempted=4):
     return {"workload": workload, "seed": 100 + pair, "side": side, "trace": 0, "pair": pair,
             "returncode": 0, "info": {}, "machine": None,
             "result": {"metrics": {"gaussians_per_s": {"value": gaussians_per_s},
                                    "op_p90_ms": {"value": op_p90_ms}},
-                       "failed": 0, "attempted": 4, "correct": True}}
+                       "failed": failed, "attempted": attempted, "correct": True}}
 
 
 def _line(lines, metric):
@@ -65,6 +65,18 @@ def test_summary_reports_a_failed_run():
     lines = bench_pairs.summary(runs, DIRECTIONS, {})
     assert "== w trace 0: a run failed" in lines
     assert any(line.startswith("== v: 1 pairs;") for line in lines)
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    ((0, 4), (0, 5), "within"), ((1, 4), (2, 8), "within"), ((1, 4), (2, 9), "within"),
+    ((1, 4), (2, 7), "worse"), ((0, 4), (1, 100), "worse")])
+def test_summary_gives_a_verdict_on_the_failed_share(parent, change, expected):
+    # The share failed/attempted is compared, not the count: more ops attempted may fail more.
+    runs = [_run("parent", 0, 10.0, 5.0, failed=parent[0], attempted=parent[1]),
+            _run("change", 0, 10.0, 5.0, failed=change[0], attempted=change[1])]
+    header = bench_pairs.summary(runs, DIRECTIONS, {})[0]
+    assert f"failed/attempted parent {parent[0]}/{parent[1]} change {change[0]}/{change[1]} " \
+           f"{expected};" in header
 
 
 def test_verdict_against_the_bound():

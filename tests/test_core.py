@@ -198,6 +198,14 @@ class TestCovarianceKernel:
         scales, quats = _random_params(np.random.default_rng(12), 5)
         with pytest.raises(ValueError):
             covariances_from_arrays(scales[:1], quats)
+        for shape in ((0, 5), (0, 4, 1), (2, 4, 1)):
+            with pytest.raises(ValueError, match="quats"):
+                covariances_from_arrays(np.zeros((shape[0], 3)), np.zeros(shape))
+        # Neither a complex nor a string array is cast to float64.
+        with pytest.raises(ValueError, match="quats"):
+            covariances_from_arrays(scales, quats + 0j)
+        with pytest.raises(ValueError, match="scales"):
+            covariances_from_arrays(scales.astype(str), quats)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(0, 40), data=st.data())
@@ -282,6 +290,10 @@ class TestGaussianInvariants:
             getattr(g, field)[0] = 0.5
         assert arrays[field].flags.writeable  # the caller's own array is left as it was
         assert np.shares_memory(getattr(g, field), arrays[field])  # a view, not a copy
+        # Only real numbers are taken: a complex or string field is refused, not cast.
+        for bad in (arrays[field] + 0j, arrays[field].astype(str)):
+            with pytest.raises(ValueError, match=field):
+                Gaussian3D(opacity=1.0, **{**arrays, field: bad})
 
     @pytest.mark.parametrize("edge", ["low", "high"])
     def test_bounds_are_closed_at_their_nearest_float(self, edge):
@@ -511,7 +523,8 @@ class TestCameraInvariants:
         with pytest.raises(ValueError, match="finite"):
             CameraView.look_at(points["eye"], points["target"], 100, 100, 50, 50, 100, 100)
 
-    @pytest.mark.parametrize("width, height", [(0, 0), (0, 1), (1, 0), (np.nan, 1), (1, np.nan)])
+    @pytest.mark.parametrize("width, height", [(0, 0), (0, 1), (1, 0), (np.nan, 1), (1, np.nan),
+                                               (1.5, 2.5), (1, 2.5), (np.inf, 1), (1, np.inf)])
     def test_rejects_resolution_below_one_pixel(self, width, height):
         with pytest.raises(ValueError):
             CameraView(np.eye(3), np.zeros(3), 100, 100, -0.5, -0.5, width, height)
@@ -543,6 +556,11 @@ class TestPsnr:
     def test_all_nan_image_errors(self):
         with pytest.raises(ValueError):
             psnr(Raster.full(8, 8, np.nan), Raster.full(8, 8, 0.5))
+        # Images that are not real numbers are refused, not cast to float64.
+        with pytest.raises(ValueError, match="psnr a"):
+            psnr(np.array([1 + 1j, 0]), np.array([1.0, 0]))
+        with pytest.raises(ValueError, match="psnr b"):
+            psnr(np.array([1.0, 0]), np.array(["1.0", "0"]))
 
     def test_single_inf_pixel_errors(self):
         a = np.full((8, 8, 3), 0.5)
@@ -619,6 +637,9 @@ class TestRaster:
         assert Raster.full(4, 3, (0.1, 0.2, 0.3)).data.shape == (3, 4, 3)
         with pytest.raises(ValueError):
             Raster.full(4, 3, 0.5, channels=2)
+        for data in (np.full((2, 2), 1 + 2j), np.array([["0.5"]])):
+            with pytest.raises(ValueError, match="raster data"):
+                Raster(data)
 
     @pytest.mark.parametrize("shape", [(3, 4, 2), (3, 4, 4), (12,)])
     def test_from_array_rejects_other_shapes(self, shape):
@@ -759,6 +780,10 @@ class TestGaussianSet:
         with pytest.raises(ValueError):
             getattr(gs, field)[0] = 0
         assert arrays[field].flags.writeable  # the caller's own array is left as it was
+        # A scalar, or a complex or string copy of the field, is refused by name.
+        for bad in (arrays[field].flat[0], arrays[field] + 0j, arrays[field].astype(str)):
+            with pytest.raises(ValueError, match=field):
+                GaussianSet(**{**arrays, field: bad})
 
     def test_validate_accepts_empty_set(self):
         GaussianSet.empty().validate()

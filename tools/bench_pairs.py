@@ -14,7 +14,9 @@ readable result counts as failed. The output file holds every run's result
 line and machine record, and a summary per workload:
 median [quartiles] of each side, their ratio, the pairs the change wins, the
 median gap against the parent's interquartile range and, for each end-to-end
-metric, a verdict against its BENCHMARK.json bound (see `verdict`).
+metric, a verdict against its BENCHMARK.json bound (see `verdict`). The failed
+ops get a verdict too: `worse` when the change fails a larger share of the ops
+it attempted than the parent does, else `within`.
 """
 
 from __future__ import annotations
@@ -88,10 +90,11 @@ def summary(runs: list[dict], directions: dict[str, str], bounds: dict[str, floa
                 continue
             counts = {s: (sum(r["result"]["failed"] for r in rs),
                           sum(r["result"]["attempted"] for r in rs)) for s, rs in sides.items()}
+            (pf, pa), (cf, ca) = counts["parent"], counts["change"]
             lines.append(
                 f"== {workload}{' traced' if trace else ''}: {len(sides['parent'])} pairs; "
-                f"failed/attempted parent {'/'.join(map(str, counts['parent']))} "
-                f"change {'/'.join(map(str, counts['change']))}; "
+                f"failed/attempted parent {pf}/{pa} change {cf}/{ca} "
+                f"{'worse' if cf * pa > pf * ca else 'within'}; "  # cf/ca > pf/pa, in integers
                 f"all correct {all(r['result']['correct'] for r in mine)}")
             # Traced runs: the self time of each layer the workload calls.
             names = directions if not trace else {
