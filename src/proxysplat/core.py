@@ -8,25 +8,40 @@ memory, and the caller must not write to its own handle afterwards.
 
 A gaussian's fields, shapes and bounds are written once, in the record table `_GAUSSIAN`.
 Every array argument passes `_field`: real numbers of a shape whose None lengths match any.
+
+The row kernels `quats_to_rotations`, `covariances_from_arrays`, `GaussianSet.validate`
+and `CameraView.project` (of more than one point) work in blocks of BLOCK rows. From
+4 * BLOCK rows (131 072), when the process may use two CPUs, `_split` gives the blocks
+past the middle to one helper thread. Every output element is computed by the same
+operations either way, so the result equals the serial one bit for bit. The helper runs
+only private functions, so every public entry point is entered from the calling thread,
+and a tracer that wraps them sees one thread. `psnr` stays on one thread.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass, fields
+from functools import partial
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 PSNR_CAP = 99.0
-PSNR_BLOCK = 1 << 15  # values per block of psnr
+# Rows per block of the row kernels, and values per block of psnr. Two threads need
+# calls this large: over 8 192-row blocks the GIL changed hands around ~5 us ufunc calls
+# and the split covariance kernel was slower than one thread.
+BLOCK = 1 << 15
 
 QUAT_NORM_TOL = 1e-6
 # |q| in [1 - tol, 1 + tol], written on q.q so that no square root is taken.
 QUAT_NORM2_MIN = (1 - QUAT_NORM_TOL) ** 2
 QUAT_NORM2_MAX = (1 + QUAT_NORM_TOL) ** 2
 ROTATION_ORTHO_TOL = 1e-6
-COV_BLOCK = 8192  # rows per block of covariances_from_arrays and of validate's q.q
 
 _F64_MAX = float(np.finfo(np.float64).max)
 _F64_TINY = float(np.finfo(np.float64).tiny)  # the depth project divides by at z == 0
@@ -77,6 +92,78 @@ def _field(a, shape, name, dtype=np.float64) -> np.ndarray:
         out = out.view()  # a copy would double the memory of a large set
         out.setflags(write=False)
     return out
+
+
+_pool = None  # the helper thread of _split, made on first use
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child, which has no copy of its thread."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blocks(lo: int, hi: int):
+    """Slices of BLOCK rows that cover [lo, hi), the last one widened by the rest.
+
+    No block is shorter than BLOCK unless the whole range is, so a block is one
+    row only when the range is: numpy hands a one-column matrix product to BLAS
+    gemv, whose bits can differ from those of the same column in a wider product.
+    """
+    b = lo
+    while hi - b >= 2 * BLOCK:
+        yield slice(b, b + BLOCK)
+        b += BLOCK
+    if b < hi:
+        yield slice(b, hi)
+
+
+def _split(fn, n: int) -> list:
+    """[fn(0, n)], or [fn(0, mid), fn(mid, n)] with the second part on a helper thread.
+
+    Below 4 * BLOCK rows, or when the process may use only one CPU, `fn` runs
+    once in the calling thread, and no thread is started and nothing imported.
+    Otherwise `mid` is a whole number of blocks near n / 2: one helper thread
+    runs fn(mid, n) in a copy of the caller's context, so it sees the caller's
+    `np.errstate`, while the calling thread runs fn(0, mid). The call returns
+    or raises only once both parts are done, so no part writes into a buffer
+    afterwards. numpy releases the GIL in each block-sized ufunc and BLAS
+    call, which is where the two parts overlap.
+
+    `fn` writes only its own rows of any shared output, and its result for a
+    range depends only on those rows, so the results equal the serial ones bit
+    for bit. It calls only private helpers: never `_split`, which could wait on
+    the one helper thread from that thread, and never a public entry point, so
+    that those are entered from the calling thread alone.
+    """
+    global _pool
+    if n < 4 * BLOCK or _cpus() < 2:
+        return [fn(0, n)]
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="proxysplat")
+        pool = _pool
+    mid = n // (2 * BLOCK) * BLOCK
+    tail = pool.submit(contextvars.copy_context().run, fn, mid, n)
+    try:
+        head = fn(0, mid)
+    finally:
+        tail.exception()  # waits for the helper, whether or not fn(0, mid) raised
+    return [head, tail.result()]
 
 
 class _Value:
@@ -136,6 +223,20 @@ def _covariance_entries(m):
         yield v
 
 
+def _points(points) -> np.ndarray:
+    """`points` as an (N,3) float64 array, one (3,) point as N = 1; other shapes raise.
+
+    Not `_field`: `project_point` calls this once per point and so skips the cost of
+    a read-only view.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.shape == (3,):
+        return pts.reshape(1, 3)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"points: expected shape (N, 3) or (3,), got {pts.shape}")
+    return pts
+
+
 def _pixel(v, f, d, c):
     """Pixel coordinate f v / d + c of camera coordinate v at divisor depth d.
 
@@ -160,16 +261,27 @@ def quats_to_rotations(quats: np.ndarray) -> np.ndarray:
 
     The result is stored entry-major: it is the (N,3,3) transpose of a
     (3,3,N) buffer, so each entry R[:, i, j] over all rows is contiguous and
-    the nine entries are written from contiguous columns w, x, y, z.
+    the nine entries are written from contiguous columns w, x, y, z. The rows
+    are filled in blocks of BLOCK, split between two threads from 4 * BLOCK
+    rows (see `_split`).
     """
     q = _field(quats, (None, 4), "quats")
     R = np.empty((3, 3, len(q)))
-    entries = _rotation_entries(*q.T.copy())
-    # Each entry is stored before the next is computed, so at most one
-    # full-size entry is alive at a time.
-    for row in R.reshape(9, len(q)):
-        row[...] = next(entries)
+    _split(partial(_rotations_into, R.reshape(9, len(q)), q), len(q))
     return R.transpose(2, 0, 1)
+
+
+def _rotations_into(R9, q, lo, hi) -> None:
+    """Rotations of quaternions q[lo:hi] into columns lo:hi of the (9,N) entry rows R9.
+
+    A block's contiguous columns w, x, y, z are copied out of q first. Each
+    entry is stored before the next is computed, so at most one block-sized
+    entry is alive at a time.
+    """
+    for b in _blocks(lo, hi):
+        entries = _rotation_entries(*q[b].T.copy())
+        for row in R9[:, b]:
+            row[...] = next(entries)
 
 
 @dataclass(frozen=True)
@@ -234,30 +346,38 @@ def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray
     """(N,3) scales + (N,4) unit quaternions -> (N,3,3) covariances.
 
     Each covariance is R diag(s^2) R^T = M M^T with M = R diag(s), so entry
-    (i, j) is the dot product of rows i and j of M. The rows are handled in
-    blocks of COV_BLOCK: a block's rotations, M and products stay in cache,
-    and no full-size temporary is allocated besides the output. M is kept
-    entry-major, (3,3,B), so each product reads contiguous rows M[i, k].
-    Only the six unique entries are computed; each is written at (i, j) and
-    copied to (j, i), so the result is exactly symmetric.
+    (i, j) is the dot product of rows i and j of M. The rotations come from
+    one `quats_to_rotations` call, made in the calling thread, and their
+    entry-major (3,3,N) buffer becomes the output: in blocks of BLOCK rows,
+    while the block is in cache, it is scaled in place to M, the six unique
+    entries of M M^T are computed, and they are written over M at (i, j) and
+    (j, i), so the result is exactly symmetric. No full-size array is made
+    besides the output. From 4 * BLOCK rows the blocks are split between two
+    threads (see `_split`), which gives the serial result bit for bit.
 
-    The result is stored entry-major too: it is the (N,3,3) transpose of a
-    (3,3,N) buffer, so each entry over all rows is contiguous and every store
-    is a contiguous run. Only the strides differ from a C-ordered (N,3,3)
-    array; the values are the same.
+    The result is the (N,3,3) transpose of that (3,3,N) buffer, so each entry
+    over all rows is contiguous and every store is a contiguous run. Only the
+    strides differ from a C-ordered (N,3,3) array; the values are the same.
     """
     q = _field(quats, (None, 4), "quats")
     s = _field(scales, (len(q), 3), "scales")
-    out = np.empty((3, 3, len(q)))
-    for lo in range(0, len(q), COV_BLOCK):
-        hi = lo + COV_BLOCK
-        M = quats_to_rotations(q[lo:hi]).transpose(1, 2, 0)
-        M *= s[lo:hi].T
-        for (i, j), v in zip(_UPPER, _covariance_entries(M)):
-            out[i, j, lo:hi] = v
-            if i != j:
-                out[j, i, lo:hi] = v
-    return out.transpose(2, 0, 1)
+    M = quats_to_rotations(q).transpose(1, 2, 0)
+    _split(partial(_covariances_over, M, s), len(q))
+    return M.transpose(2, 0, 1)
+
+
+def _covariances_over(M, s, lo, hi) -> None:
+    """Turn rows lo:hi of the (3,3,N) rotations M into covariances, in place.
+
+    A block's six entries are all computed before any is written over M, which they read.
+    """
+    for b in _blocks(lo, hi):
+        m = M[:, :, b]
+        m *= s[b].T
+        entries = list(_covariance_entries(m))
+        for (i, j), v in zip(_UPPER, entries):
+            m[i, j] = v
+            m[j, i] = v
 
 
 @dataclass(frozen=True)
@@ -298,19 +418,32 @@ class GaussianSet(_Value):
         object.__setattr__(self, "building_ids", _field(ids, (n,), "building_ids", np.int32))
 
     def validate(self) -> None:
+        """Raise ValueError unless every row lies within the bounds of `_GAUSSIAN`.
+
+        From 4 * BLOCK rows the rows are split between two threads (see `_split`).
+        """
         if len(self) == 0:
             return  # min and max below are undefined on empty arrays
-        # The min/max reductions make no full-size temporaries, and q.q is
-        # summed and reduced a block of rows at a time, while the block is in
-        # cache. A q.q that overflows is inf and fails the check, so it is not
-        # worth a warning.
+        parts = _split(self._extremes, len(self))
+        _check_gaussians(*(chain(*column) for column in zip(*parts)))
+
+    def _extremes(self, lo: int, hi: int) -> list:
+        """(min, max) of rows [lo, hi) of each column, q.q for the rotations, in _GAUSSIAN order.
+
+        numpy's min and max, unlike the builtins, give NaN when any value is NaN,
+        so a NaN row fails the check. The reductions make no temporaries, and
+        q.q is summed and reduced a block of rows at a time, while the block is
+        in cache. A q.q that overflows is inf and fails the check, so it is not
+        worth a warning.
+        """
         n2 = []
         with np.errstate(over="ignore"):
-            for lo in range(0, len(self), COV_BLOCK):
-                block = _quat_norm2(*self.rotations[lo:lo + COV_BLOCK].T)
+            for b in _blocks(lo, hi):
+                block = _quat_norm2(*self.rotations[b].T)
                 n2 += block.min(), block.max()
-        _check_gaussians(*((a.min(), a.max()) for a in (
-            self.positions, self.scales, np.array(n2), self.opacities, self.colors)))
+        rows = slice(lo, hi)
+        return [(a.min(), a.max()) for a in (self.positions[rows], self.scales[rows],
+                                             np.array(n2), self.opacities[rows], self.colors[rows])]
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -389,20 +522,21 @@ class CameraView(_Value):
     def to_camera(self, points: np.ndarray) -> np.ndarray:
         """(N,3) world points -> (N,3) camera-space points R p + t; one (3,) point is N = 1.
 
-        Any other shape of `points` is a ValueError, checked here and not by `_field`:
-        `project_point` calls this once per point and so skips the cost of a read-only view.
+        Any other shape of `points` is a ValueError (see `_points`).
         The result is the (N,3) transpose of a (3,N) buffer, so each coordinate over all
         points is contiguous and the translation is added one contiguous row at a time.
         Only the strides differ from a C-ordered (N,3) array; the values are the same.
         """
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.shape == (3,):
-            pts = pts.reshape(1, 3)
-        elif pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points: expected shape (N, 3) or (3,), got {pts.shape}")
-        cam = self.rotation @ pts.T
+        return self._camera(_points(points)).T
+
+    def _camera(self, pts, out=None) -> np.ndarray:
+        """R p + t of (B,3) points as a (3,B) array, written into `out` when one is given.
+
+        Without `out` the product is the `@` operator, the cheapest call for one point.
+        """
+        cam = self.rotation @ pts.T if out is None else np.matmul(self.rotation, pts.T, out=out)
         cam += self.translation[:, None]
-        return cam.T
+        return cam
 
     def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Project (N,3) world points; returns ((N,2) pixels, (N,) depths).
@@ -414,36 +548,45 @@ class CameraView(_Value):
         huge, near the optical axis) and as meaningless, and no warning is
         raised.
 
-        The pixels and depths are views of the (3,N) camera-space buffer:
-        its (2,N) block of rows x and y is scaled by (fx, fy), divided by z
-        and offset by (cx, cy) in place, one broadcast ufunc call each, and
-        the pixels are the (N,2) transpose of that block. Only their strides
-        differ from a C-ordered (N,2) array, not their values.
+        The pixels and depths are views of one (3,N) camera-space buffer,
+        filled a block of BLOCK points at a time: R p + t is written into the
+        block, then its rows x and y are scaled by (fx, fy), divided by z and
+        offset by (cx, cy) in place, one broadcast ufunc call each, while the
+        block is in cache. The pixels are the (N,2) transpose of rows x and y,
+        so only their strides differ from a C-ordered (N,2) array, not their
+        values. From 4 * BLOCK points the blocks are split between two threads
+        (see `_split`), which gives the serial result bit for bit.
 
         One point is evaluated on Python floats with the same operations in
         the same order, so its bits are those of the broadcast path; its
         pixels and depth are fresh (1,2) and (1,) arrays, not views.
         """
-        cam = self.to_camera(points)
-        if len(cam) == 1:
-            x, y, z = cam[0].tolist()
+        pts = _points(points)
+        if len(pts) == 1:
+            x, y, z = self._camera(pts)[:, 0].tolist()
             d = z if z else _F64_TINY  # falsy at -0.0 too, as z == 0.0 below
             # float() keeps a numpy scalar focal length (say float32) from
             # setting the precision of the products.
             return (np.array([[_pixel(x, float(self.fx), d, float(self.cx)),
                                _pixel(y, float(self.fy), d, float(self.cy))]]),
                     np.array([z]))
-        cam = cam.T
-        xy, z = cam[:2], cam[2]
+        cam = np.empty((3, len(pts)))
         f, c = np.array([[self.fx], [self.fy]]), np.array([[self.cx], [self.cy]])
-        if z.all():
-            _pixel(xy, f, z, c)
-        else:
-            # x / tiny overflows to +-inf once |fx x| exceeds about 4; that
-            # result is expected, not an error worth a warning.
-            with np.errstate(over="ignore"):
-                _pixel(xy, f, np.where(z == 0.0, _F64_TINY, z), c)
-        return xy.T, z
+        _split(partial(self._project_into, cam, pts, f, c), len(pts))
+        return cam[:2].T, cam[2]
+
+    def _project_into(self, cam, pts, f, c, lo, hi) -> None:
+        """Pixels and depths of points pts[lo:hi] into columns lo:hi of the (3,N) cam."""
+        for b in _blocks(lo, hi):
+            blk = self._camera(pts[b], cam[:, b])
+            xy, z = blk[:2], blk[2]
+            if z.all():
+                _pixel(xy, f, z, c)
+            else:
+                # x / tiny overflows to +-inf once |fx x| exceeds about 4; that
+                # result is expected, not an error worth a warning.
+                with np.errstate(over="ignore"):
+                    _pixel(xy, f, np.where(z == 0.0, _F64_TINY, z), c)
 
     def unproject(self, pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
         """Inverse of project: (N,2) pixels + (N,) camera-space depths -> (N,3) world points.
@@ -517,7 +660,8 @@ def psnr(a, b) -> float:
 
     Raises ValueError when the shapes differ, the images are empty or not real
     numbers, or they hold NaN or inf. The squared error is summed in blocks of
-    PSNR_BLOCK values through one scratch block, so no full-size temporary is made.
+    BLOCK values through one scratch block, so no full-size temporary is made.
+    It runs on one thread: the order of the blocks sets the bits of the sum.
     """
     arr_a = a.data if isinstance(a, Raster) else _field(a, np.shape(a), "psnr a")
     arr_b = b.data if isinstance(b, Raster) else _field(b, np.shape(b), "psnr b")
@@ -527,14 +671,14 @@ def psnr(a, b) -> float:
     if n == 0:
         raise ValueError("psnr: the images are empty")
     fa, fb = arr_a.reshape(-1), arr_b.reshape(-1)
-    blk = np.empty(min(n, PSNR_BLOCK))
+    blk = np.empty(min(n, BLOCK))
     sse = 0.0
     # inf - inf and overflowing differences end in a non-finite sum, which
     # the check below turns into a ValueError rather than a warning.
     with np.errstate(invalid="ignore", over="ignore"):
-        for lo in range(0, n, PSNR_BLOCK):
-            d = blk[:min(PSNR_BLOCK, n - lo)]
-            np.subtract(fa[lo:lo + PSNR_BLOCK], fb[lo:lo + PSNR_BLOCK], out=d)
+        for lo in range(0, n, BLOCK):
+            d = blk[:min(BLOCK, n - lo)]
+            np.subtract(fa[lo:lo + BLOCK], fb[lo:lo + BLOCK], out=d)
             sse += float(np.dot(d, d))
     mse = sse / n
     if not np.isfinite(mse):

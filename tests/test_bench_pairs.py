@@ -12,9 +12,9 @@ _spec.loader.exec_module(bench_pairs)
 DIRECTIONS = {"gaussians_per_s": "higher", "op_p90_ms": "lower"}
 
 
-def _run(side, pair, gaussians_per_s, op_p90_ms, workload="w", failed=0, attempted=4):
+def _run(side, pair, gaussians_per_s, op_p90_ms, workload="w", failed=0, attempted=4, cpus=2):
     return {"workload": workload, "seed": 100 + pair, "side": side, "trace": 0, "pair": pair,
-            "returncode": 0, "info": {}, "machine": None,
+            "returncode": 0, "info": {}, "machine": {"affinity_cpus": cpus},
             "result": {"metrics": {"gaussians_per_s": {"value": gaussians_per_s},
                                    "op_p90_ms": {"value": op_p90_ms}},
                        "failed": failed, "attempted": attempted, "correct": True}}
@@ -50,7 +50,7 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither():
     runs = [_run("parent", k, *v) for k, v in enumerate(parent)]
     runs += [_run("change", k, *v) for k, v in enumerate(change)]
     lines = bench_pairs.summary(runs, DIRECTIONS, {})
-    assert lines[0].startswith("== w: 3 pairs;")
+    assert lines[0].startswith("== w: 3 pairs; affinity_cpus parent 2 change 2;")
     assert "wins 1/3" in _line(lines, "gaussians_per_s")
     assert "wins 1/3" in _line(lines, "op_p90_ms")  # a drop in a "lower" metric is its win
     lower = bench_pairs.summary(
@@ -100,3 +100,44 @@ def test_summary_gives_a_verdict_only_to_bounded_metrics():
     lines = bench_pairs.summary(runs, DIRECTIONS, {"op_p90_ms": 0.2})
     assert _line(lines, "op_p90_ms").endswith("worse bound 0.2")
     assert "bound" not in _line(lines, "gaussians_per_s")
+
+
+def test_header_gives_each_side_its_cpus():
+    runs = [_run("parent", 0, 10.0, 5.0, cpus=1), _run("parent", 1, 10.0, 5.0, cpus=2),
+            _run("change", 0, 10.0, 5.0, cpus=2), _run("change", 1, 10.0, 5.0, cpus=2)]
+    header = bench_pairs.summary(runs, DIRECTIONS, {})[0]
+    assert "; affinity_cpus parent 1,2 change 2;" in header
+
+
+def _pairs(parent, change):
+    runs = [_run("parent", k, v, 5.0) for k, v in enumerate(parent)]
+    return runs + [_run("change", k, v, 5.0) for k, v in enumerate(change)]
+
+
+PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.0]  # IQR 0.2
+
+
+@pytest.mark.parametrize("change, expected", [
+    ([12.0] * 10, True),  # 10/10 wins, gap 2 > IQR 0.2
+    ([12.0] * 9 + [9.0], True),  # 9/10 wins is enough
+    ([12.0] * 8 + [9.0, 9.0], False),  # 8/10 is not
+    ([10.15] * 10, False),  # 10/10 wins, but the gap 0.15 is within the IQR
+])
+def test_gain_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_iqr(change, expected):
+    line = _line(bench_pairs.summary(_pairs(PARENT, change), DIRECTIONS, {}), "gaussians_per_s")
+    assert ("  gain" in line) is expected
+    assert bench_pairs.gain(sum(c > p for p, c in zip(PARENT, change)), 10, PARENT, change,
+                            "higher") is expected
+
+
+def test_gain_needs_ten_pairs():
+    line = _line(bench_pairs.summary(_pairs(PARENT[:9], [12.0] * 9), DIRECTIONS, {}),
+                 "gaussians_per_s")
+    assert "wins 9/9" in line and "gain" not in line
+
+
+def test_gain_on_a_lower_is_better_metric_is_a_drop():
+    parent = [5.0, 5.1, 4.9, 5.0, 5.0, 5.2, 4.8, 5.0, 5.0, 5.0]
+    assert bench_pairs.gain(10, 10, parent, [4.0] * 10, "lower")
+    assert not bench_pairs.gain(0, 10, parent, [6.0] * 10, "lower")
+    assert bench_pairs.gain(10, 10, parent, [6.0] * 10, "higher")  # a rise, were higher better

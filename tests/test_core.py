@@ -1,14 +1,21 @@
 import copy
+import functools
+import inspect
+import os
 import pickle
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from proxysplat import core
 from proxysplat.core import (
-    COV_BLOCK,
-    PSNR_BLOCK,
+    BLOCK,
     QUAT_NORM2_MAX,
     QUAT_NORM2_MIN,
     QUAT_NORM_TOL,
@@ -26,6 +33,19 @@ from proxysplat.core import (
 )
 
 F64_MAX = np.finfo(np.float64).max
+QUARTER = BLOCK // 4  # 8 192 rows: sizes near its multiples end inside a block
+SPLIT_SIZES = [4 * BLOCK + 1, 4 * BLOCK + 7]  # the smallest sizes the row kernels split
+
+
+def _mid(n):
+    """The first row of the helper thread's part of a split n-row call."""
+    return n // (2 * BLOCK) * BLOCK
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Split-size calls take the two-thread path even where one CPU is allowed."""
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
 
 
 def _gaussian(position=(0, 0, 0), scale=(1, 1, 1), rotation=(1, 0, 0, 0),
@@ -140,9 +160,11 @@ class TestQuaternionToCovariance:
             eig = np.sort(np.linalg.eigvalsh(cov))
             assert np.allclose(eig, np.sort(scale**2), atol=1e-9)
 
-    @pytest.mark.parametrize("n, rows", [(2000, None),
-                                         (2 * COV_BLOCK + 1, [0, COV_BLOCK - 1, COV_BLOCK,
-                                                              COV_BLOCK + 1, 2 * COV_BLOCK])])
+    @pytest.mark.usefixtures("two_cpus")
+    @pytest.mark.parametrize("n, rows", [
+        (2000, None), (2 * QUARTER + 1, [0, QUARTER - 1, QUARTER, QUARTER + 1, 2 * QUARTER]),
+        (SPLIT_SIZES[0], [0, _mid(SPLIT_SIZES[0]) - 1, _mid(SPLIT_SIZES[0]),
+                          SPLIT_SIZES[0] - 1])])
     def test_equals_its_kernel_row_exactly(self, n, rows):
         scales, quats = _random_params(np.random.default_rng(n), n)
         cov = covariances_from_arrays(scales, quats)
@@ -152,7 +174,8 @@ class TestQuaternionToCovariance:
 
 
 class TestRotationKernel:
-    @pytest.mark.parametrize("n", [0, 1, 5, COV_BLOCK + 1])
+    @pytest.mark.usefixtures("two_cpus")
+    @pytest.mark.parametrize("n", [0, 1, 5, QUARTER + 1, *SPLIT_SIZES])
     def test_matches_per_quaternion_formula(self, n):
         scales, quats = _random_params(np.random.default_rng(n), n)
         strided = np.hstack([scales, quats])[:, 3:]
@@ -168,13 +191,15 @@ class TestRotationKernel:
 
 
 class TestCovarianceKernel:
+    @pytest.mark.usefixtures("two_cpus")
     @pytest.mark.parametrize(
-        "n", [0, 1, COV_BLOCK - 1, COV_BLOCK, COV_BLOCK + 1, 3 * COV_BLOCK + 5])
+        "n", [0, 1, QUARTER - 1, QUARTER, QUARTER + 1, 3 * QUARTER + 5,
+              BLOCK - 1, BLOCK, BLOCK + 1, *SPLIT_SIZES])
     def test_matches_einsum_across_block_edges(self, n):
         _assert_matches_reference(*_random_params(np.random.default_rng(n), n))
 
     def test_strided_and_float32_inputs(self):
-        scales, quats = _random_params(np.random.default_rng(11), 2 * COV_BLOCK + 3)
+        scales, quats = _random_params(np.random.default_rng(11), 2 * QUARTER + 3)
         wide = np.hstack([quats, scales])  # column slices of this are strided views
         strided_quats, strided_scales = wide[:, :4], wide[:, 4:]
         assert not strided_quats.flags.c_contiguous
@@ -184,12 +209,12 @@ class TestCovarianceKernel:
 
     def test_gather_from_entry_major_result(self):
         # The workloads read rows back with a fancy-index gather, cov[idx].
-        n = 3 * COV_BLOCK + 5
+        n = 3 * QUARTER + 5
         scales, quats = _random_params(np.random.default_rng(13), n)
         cov = covariances_from_arrays(scales, quats)
         assert cov.transpose(1, 2, 0).flags.c_contiguous  # the entry-major layout
         idx = np.random.default_rng(14).choice(n, 64)
-        idx[:3] = (0, COV_BLOCK, n - 1)
+        idx[:3] = (0, QUARTER, n - 1)
         rows = cov[idx]
         assert np.array_equal(rows, rows.transpose(0, 2, 1))
         assert np.abs(rows - _einsum_covariances(scales, quats)[idx]).max() <= 1e-12
@@ -409,7 +434,8 @@ class TestProject:
         assert depth[0] == 0.0 and depth[1] < 0.0
         assert np.all(np.isfinite(pix))
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10**5])
+    @pytest.mark.usefixtures("two_cpus")
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10**5, *SPLIT_SIZES])
     def test_matches_reference_at_every_size(self, n):
         # The bits must not change where the matmul switches BLAS paths.
         points = np.random.default_rng(n).uniform(-5, 5, (n, 3))
@@ -588,9 +614,9 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(np.full(4, 1e308), np.full(4, -1e308))  # the difference overflows
 
-    @pytest.mark.parametrize("n", [PSNR_BLOCK - 1, PSNR_BLOCK, PSNR_BLOCK + 1,
-                                   2 * PSNR_BLOCK - 1, 2 * PSNR_BLOCK, 2 * PSNR_BLOCK + 1,
-                                   3 * PSNR_BLOCK + 5])
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1,
+                                   3 * BLOCK + 5])
     def test_matches_reference_across_block_edges(self, n):
         rng = np.random.default_rng(n)
         a = rng.uniform(0, 1, n)
@@ -807,6 +833,7 @@ class TestGaussianSet:
             with pytest.raises(ValueError):
                 gs.validate()
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_validate_flags_bad_rows(self):
         gs = GaussianSet(
             np.zeros((1, 3)), np.ones((1, 3)),
@@ -814,16 +841,164 @@ class TestGaussianSet:
         )
         with pytest.raises(ValueError):
             gs.validate()
-        # q.q is checked block by block: a bad row on either side of a block edge fails.
-        n = COV_BLOCK + 2
-        for row in (COV_BLOCK - 1, COV_BLOCK, n - 1):
-            for bad in (np.nan, 1 + 2 * QUAT_NORM_TOL):
-                quats = np.tile([1.0, 0, 0, 0], (n, 1))
-                args = np.zeros((n, 3)), np.ones((n, 3)), quats, np.ones(n), np.ones((n, 3))
-                GaussianSet(*args).validate()
-                quats[row, 0] = bad
-                with pytest.raises(ValueError):
+        # q.q is checked block by block: a bad row on either side of a block edge fails,
+        # and so does one that only the helper thread of a split call reads.
+        split = SPLIT_SIZES[0]
+        for n, rows in ((2 * BLOCK + 2, (BLOCK - 1, BLOCK, 2 * BLOCK + 1)),
+                        (split, (_mid(split), split - 1))):
+            for row in rows:
+                for bad in (np.nan, 1 + 2 * QUAT_NORM_TOL):
+                    quats = np.tile([1.0, 0, 0, 0], (n, 1))
+                    args = np.zeros((n, 3)), np.ones((n, 3)), quats, np.ones(n), np.ones((n, 3))
                     GaussianSet(*args).validate()
+                    quats[row, 0] = bad
+                    with pytest.raises(ValueError):
+                        GaussianSet(*args).validate()
+                    quats[row, 0] = 1.0
+                    args[0][row, 1] = np.nan  # a NaN position in the same row
+                    with pytest.raises(ValueError):
+                        GaussianSet(*args).validate()
+
+
+def _split_inputs(seed):
+    """A split-size set of gaussians and a view, with points in front of it."""
+    n = SPLIT_SIZES[1]
+    scales, quats = _random_params(np.random.default_rng(seed), n)
+    points = np.random.default_rng(seed + 1).uniform(-5, 5, (n, 3))
+    gs = GaussianSet(points, scales, quats, np.ones(n), np.ones((n, 3)))
+    view = CameraView.look_at((20, 3, 6), (0, 0, 0), 500.0, 480.0, 319.5, 239.5, 640, 480)
+    return gs, view
+
+
+@pytest.mark.usefixtures("two_cpus")
+class TestSplit:
+    """The row kernels at the sizes where they split across two threads."""
+
+    def test_no_thread_below_the_split_size_or_on_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(core, "_pool", None)
+        gs, view = _split_inputs(20)
+        small = gs.select(slice(4 * BLOCK - 1))
+        small.validate()
+        small.covariances()
+        view.project(small.positions)
+        assert core._pool is None
+        monkeypatch.setattr(core, "_cpus", lambda: 1)
+        gs.validate()
+        gs.covariances()
+        view.project(gs.positions)
+        assert core._pool is None
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (0, 2), (0, BLOCK + 1), (0, 2 * BLOCK),
+                                        (0, 2 * BLOCK + 1), (2 * BLOCK, 4 * BLOCK + 1)])
+    def test_blocks_cover_the_range_and_none_is_one_row_unless_it_is(self, lo, hi):
+        # A one-row block would make project's matmul a BLAS gemv, whose bits differ.
+        blocks = list(core._blocks(lo, hi))
+        assert [b.start for b in blocks] == list(range(lo, hi, BLOCK))[:len(blocks)]
+        assert [b.stop for b in blocks[:-1]] == [b.start for b in blocks[1:]]
+        assert not blocks or blocks[-1].stop == hi
+        assert all(b.stop - b.start >= min(BLOCK, hi - lo) for b in blocks)
+
+    def test_helper_thread_sees_the_callers_errstate(self):
+        scales, quats = _random_params(np.random.default_rng(21), SPLIT_SIZES[0])
+        # In the last row, which only the helper thread computes, the zero entries
+        # of the identity rotation times the infinite scale are inf * 0.
+        scales[-1] = np.inf
+        quats[-1] = (1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            covariances_from_arrays(scales, quats)  # warnings are errors in this suite
+        with np.errstate(invalid="ignore"):
+            cov = covariances_from_arrays(scales, quats)
+        assert np.isnan(cov[-1]).all()
+        assert np.array_equal(cov[:-1], covariances_from_arrays(scales[:-1], quats[:-1]))
+
+    def test_public_calls_come_from_the_calling_thread(self, monkeypatch):
+        calls, parts = [], []
+
+        def record(log, name, fn):
+            @functools.wraps(fn)
+            def recorded(*args, **kwargs):
+                log.append((name, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return recorded
+
+        for name, value in vars(core).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != core.__name__:
+                continue
+            if inspect.isfunction(value):
+                monkeypatch.setattr(core, name, record(calls, name, value))
+            elif inspect.isclass(value):
+                for attr, raw in list(vars(value).items()):
+                    if isinstance(raw, staticmethod):
+                        monkeypatch.setattr(value, attr, staticmethod(
+                            record(calls, f"{name}.{attr}", raw.__func__)))
+                    elif inspect.isfunction(raw) and not attr.startswith("_"):
+                        monkeypatch.setattr(value, attr, record(calls, f"{name}.{attr}", raw))
+        # The part functions, so that the test sees the calls did split.
+        for owner, attr in ((core, "_rotations_into"), (core, "_covariances_over"),
+                            (GaussianSet, "_extremes"), (CameraView, "_project_into")):
+            monkeypatch.setattr(owner, attr, record(parts, attr, getattr(owner, attr)))
+        gs, view = _split_inputs(23)
+        gs.validate()
+        gs.covariances()
+        core.covariances_from_arrays(gs.scales, gs.rotations)
+        view.project(gs.positions)
+        names = [name for name, _ in calls]
+        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert names.count("quats_to_rotations") == names.count("covariances_from_arrays") == 2
+        assert {"GaussianSet.validate", "GaussianSet.covariances", "CameraView.project"} <= {
+            *names}
+        for attr in ("_rotations_into", "_covariances_over", "_extremes", "_project_into"):
+            assert len({ident for name, ident in parts if name == attr}) == 2, attr
+
+    def test_concurrent_callers_share_the_helper_thread(self):
+        # More caller threads than CPUs, switching often: each must get its own result.
+        gs, _ = _split_inputs(24)
+        expected = gs.covariances()
+        results, errors = {}, []
+
+        def call(k):
+            try:
+                results[k] = covariances_from_arrays(gs.scales, gs.rotations)
+            except Exception as e:  # reported by the assertion below
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert all(np.array_equal(results[k], expected) for k in range(4))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    # Python 3.12+ warns when a process with threads forks; that is the case tested here.
+    @pytest.mark.filterwarnings("ignore:.*is multi-threaded, use of fork:DeprecationWarning")
+    def test_forked_child_splits_on_a_thread_of_its_own(self):
+        gs, _ = _split_inputs(25)
+        expected = gs.covariances()  # the parent's helper thread exists from here on
+        assert core._pool is not None
+        pid = os.fork()
+        if pid == 0:  # the child leaves through os._exit, whatever happens
+            code = 1
+            try:
+                code = 0 if np.array_equal(gs.covariances(), expected) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        done, status = os.waitpid(pid, os.WNOHANG)
+        while not done and time.monotonic() < deadline:
+            time.sleep(0.01)
+            done, status = os.waitpid(pid, os.WNOHANG)
+        if not done:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's split call did not finish within 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 @pytest.mark.parametrize("value", [

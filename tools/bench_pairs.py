@@ -13,10 +13,13 @@ the change first when k is odd. A run that exits non-zero or leaves no
 readable result counts as failed. The output file holds every run's result
 line and machine record, and a summary per workload:
 median [quartiles] of each side, their ratio, the pairs the change wins, the
-median gap against the parent's interquartile range and, for each end-to-end
-metric, a verdict against its BENCHMARK.json bound (see `verdict`). The failed
-ops get a verdict too: `worse` when the change fails a larger share of the ops
-it attempted than the parent does, else `within`.
+median gap against the parent's interquartile range, `gain` where the change
+meets the rule for claiming one (see `gain`) and, for each end-to-end metric, a
+verdict against its BENCHMARK.json bound (see `verdict`). The failed ops get a
+verdict too: `worse` when the change fails a larger share of the ops it
+attempted than the parent does, else `within`. Each workload's header gives the
+CPUs each side's runs could use, since the library splits large kernels
+across two threads when it may.
 """
 
 from __future__ import annotations
@@ -79,6 +82,15 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return f"{'worse' if worse else 'within'} bound {bound}"
 
 
+def gain(wins: int, pairs: int, parent: list[float], change: list[float], better: str) -> bool:
+    """Whether a gain may be claimed (choosing-metrics, section 8): at least ten pairs, the
+    change won at least 9 of every 10, and its median beats the parent's by more than the
+    parent's interquartile range."""
+    (p1, pm, p3), cm = quartiles(parent), statistics.median(change)
+    return (pairs >= 10 and 10 * wins >= 9 * pairs
+            and (cm - pm if better == "higher" else pm - cm) > p3 - p1)
+
+
 def summary(runs: list[dict], directions: dict[str, str], bounds: dict[str, float]) -> list[str]:
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -91,8 +103,11 @@ def summary(runs: list[dict], directions: dict[str, str], bounds: dict[str, floa
             counts = {s: (sum(r["result"]["failed"] for r in rs),
                           sum(r["result"]["attempted"] for r in rs)) for s, rs in sides.items()}
             (pf, pa), (cf, ca) = counts["parent"], counts["change"]
+            cpus = {s: ",".join(sorted({str(r["machine"]["affinity_cpus"]) for r in rs}))
+                    for s, rs in sides.items()}
             lines.append(
                 f"== {workload}{' traced' if trace else ''}: {len(sides['parent'])} pairs; "
+                f"affinity_cpus parent {cpus['parent']} change {cpus['change']}; "
                 f"failed/attempted parent {pf}/{pa} change {cf}/{ca} "
                 f"{'worse' if cf * pa > pf * ca else 'within'}; "  # cf/ca > pf/pa, in integers
                 f"all correct {all(r['result']['correct'] for r in mine)}")
@@ -112,6 +127,7 @@ def summary(runs: list[dict], directions: dict[str, str], bounds: dict[str, floa
                     f"  {metric:<{width}} parent {pm:.4g} [{p1:.4g}, {p3:.4g}] -> change {cm:.4g} "
                     f"[{c1:.4g}, {c3:.4g}]  ratio {cm / pm if pm else float('nan'):.3f}  "
                     f"wins {wins}/{len(p)}  gap {cm - pm:.4g} vs parent IQR {p3 - p1:.4g}"
+                    + ("  gain" if gain(wins, len(p), p, c, better) else "")
                     + (f"  {verdict(p, c, better, bound)}" if bound is not None else ""))
     return lines
 
