@@ -10,9 +10,10 @@ A gaussian's fields, shapes and bounds are written once, in the record table `_G
 Every array argument passes `_field`: real numbers of a shape whose None lengths match any.
 
 The row kernels `quats_to_rotations`, `covariances_from_arrays`, `GaussianSet.validate`
-and `CameraView.project` (of more than one point) work in blocks of BLOCK rows. From
-4 * BLOCK rows (131 072), when the process may use two CPUs, `_split` gives the blocks
-past the middle to one helper thread. Every output element is computed by the same
+and `CameraView.project` (of more than one point) work in blocks of BLOCK rows (8 192
+for covariances on one thread). From 4 * BLOCK rows (131 072), when the process may use
+two CPUs by its affinity mask and cgroup quota, `_split` gives the blocks past the
+middle to one helper thread. Every output element is computed by the same
 operations either way, so the result equals the serial one bit for bit. The helper runs
 only private functions, so every public entry point is entered from the calling thread,
 and a tracer that wraps them sees one thread. `psnr` stays on one thread.
@@ -27,6 +28,7 @@ from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain
 from operator import attrgetter
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -108,11 +110,34 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
+# Where a container sees its own cgroup's CPU quota: cgroup v2's "quota period" (quota
+# "max" for none), else cgroup v1's quota (-1 for none) and period, in that order.
+_CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
+                    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
+
+
 def _cpus() -> int:
-    """The number of CPUs this process may run on."""
+    """The CPUs this process may use: its affinity mask, capped by a cgroup CPU quota.
+
+    The quota counts whole CPUs, rounded down, so a 1.5-CPU container counts
+    as one; a quota that is absent or unreadable caps nothing.
+    """
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        n = len(os.sched_getaffinity(0))
+    else:
+        n = os.cpu_count() or 1
+    for paths in _CPU_QUOTA_FILES:
+        try:
+            quota, period = " ".join(Path(p).read_text() for p in paths).split()
+            return n if quota in ("max", "-1") else max(1, min(n, int(quota) // int(period)))
+        except (OSError, ValueError, ZeroDivisionError):
+            continue
+    return n
+
+
+def _serial(n: int) -> bool:
+    """Whether `_split` runs an n-row call on the calling thread alone."""
+    return n < 4 * BLOCK or _cpus() < 2
 
 
 def _blocks(lo: int, hi: int):
@@ -133,14 +158,21 @@ def _blocks(lo: int, hi: int):
 def _split(fn, n: int) -> list:
     """[fn(0, n)], or [fn(0, mid), fn(mid, n)] with the second part on a helper thread.
 
-    Below 4 * BLOCK rows, or when the process may use only one CPU, `fn` runs
-    once in the calling thread, and no thread is started and nothing imported.
-    Otherwise `mid` is a whole number of blocks near n / 2: one helper thread
-    runs fn(mid, n) in a copy of the caller's context, so it sees the caller's
-    `np.errstate`, while the calling thread runs fn(0, mid). The call returns
-    or raises only once both parts are done, so no part writes into a buffer
-    afterwards. numpy releases the GIL in each block-sized ufunc and BLAS
-    call, which is where the two parts overlap.
+    Below 4 * BLOCK rows, or when the process may use fewer than two CPUs (see
+    `_cpus`), `fn` runs once in the calling thread, and no thread is started
+    and nothing imported. Otherwise `mid` is a whole number of blocks near
+    n / 2: one helper thread runs fn(mid, n) in a copy of the caller's
+    context, so it sees the caller's `np.errstate`, while the calling thread
+    runs fn(0, mid). The call returns or raises only once both parts are
+    done, so no part writes into a buffer afterwards. numpy releases the GIL
+    in each block-sized ufunc and BLAS call, which is where the two parts
+    overlap. Where the helper takes no work (at interpreter shutdown, or when
+    its thread cannot be started), `fn` runs once in the calling thread.
+
+    The helper thread lives in a one-thread pool that later calls reuse. A
+    thread started per call was slower on 2 vCPUs: 10^6-row `validate` and
+    `project` calls took 0.58-0.72 of the serial time, against 0.53-0.58
+    with the pool.
 
     `fn` writes only its own rows of any shared output, and its result for a
     range depends only on those rows, so the results equal the serial ones bit
@@ -149,7 +181,7 @@ def _split(fn, n: int) -> list:
     that those are entered from the calling thread alone.
     """
     global _pool
-    if n < 4 * BLOCK or _cpus() < 2:
+    if _serial(n):
         return [fn(0, n)]
     with _pool_lock:
         if _pool is None:
@@ -158,7 +190,12 @@ def _split(fn, n: int) -> list:
             _pool = ThreadPoolExecutor(1, thread_name_prefix="proxysplat")
         pool = _pool
     mid = n // (2 * BLOCK) * BLOCK
-    tail = pool.submit(contextvars.copy_context().run, fn, mid, n)
+    try:
+        tail = pool.submit(contextvars.copy_context().run, fn, mid, n)
+    except RuntimeError:
+        # A pool whose thread failed to start keeps the work queued; it must never run.
+        _pool = None
+        return [fn(0, n)]
     try:
         head = fn(0, mid)
     finally:
@@ -346,38 +383,54 @@ def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray
     """(N,3) scales + (N,4) unit quaternions -> (N,3,3) covariances.
 
     Each covariance is R diag(s^2) R^T = M M^T with M = R diag(s), so entry
-    (i, j) is the dot product of rows i and j of M. The rotations come from
-    one `quats_to_rotations` call, made in the calling thread, and their
-    entry-major (3,3,N) buffer becomes the output: in blocks of BLOCK rows,
-    while the block is in cache, it is scaled in place to M, the six unique
-    entries of M M^T are computed, and they are written over M at (i, j) and
-    (j, i), so the result is exactly symmetric. No full-size array is made
-    besides the output. From 4 * BLOCK rows the blocks are split between two
-    threads (see `_split`), which gives the serial result bit for bit.
+    (i, j) is the dot product of rows i and j of M. M is kept entry-major,
+    (3,3,B), so each product reads contiguous rows M[i, k]. Only the six
+    unique entries are computed; each is written at (i, j) and (j, i), so the
+    result is exactly symmetric. No full-size array is made besides the output.
 
-    The result is the (N,3,3) transpose of that (3,3,N) buffer, so each entry
+    On one thread (see `_split`) the rows go in blocks of BLOCK // 4 (8 192):
+    a block's rotations come from `quats_to_rotations`, and they, M and the
+    products stay in a core's L2 while the output is written once. From
+    4 * BLOCK rows on two CPUs the rotations instead come from one
+    `quats_to_rotations` call, made in the calling thread, and their (3,3,N)
+    buffer becomes the output: the two threads turn its blocks of BLOCK rows
+    into covariances in place. Both give the same bits.
+
+    The result is the (N,3,3) transpose of a (3,3,N) buffer, so each entry
     over all rows is contiguous and every store is a contiguous run. Only the
     strides differ from a C-ordered (N,3,3) array; the values are the same.
     """
     q = _field(quats, (None, 4), "quats")
     s = _field(scales, (len(q), 3), "scales")
+    if _serial(len(q)):
+        out = np.empty((3, 3, len(q)))
+        for lo in range(0, len(q), BLOCK // 4):
+            b = slice(lo, lo + BLOCK // 4)
+            _covariances_into(out[:, :, b], quats_to_rotations(q[b]).transpose(1, 2, 0), s[b])
+        return out.transpose(2, 0, 1)
     M = quats_to_rotations(q).transpose(1, 2, 0)
     _split(partial(_covariances_over, M, s), len(q))
     return M.transpose(2, 0, 1)
 
 
 def _covariances_over(M, s, lo, hi) -> None:
-    """Turn rows lo:hi of the (3,3,N) rotations M into covariances, in place.
-
-    A block's six entries are all computed before any is written over M, which they read.
-    """
+    """Turn rows lo:hi of the (3,3,N) rotations M into covariances, in place."""
     for b in _blocks(lo, hi):
         m = M[:, :, b]
-        m *= s[b].T
-        entries = list(_covariance_entries(m))
-        for (i, j), v in zip(_UPPER, entries):
-            m[i, j] = v
-            m[j, i] = v
+        _covariances_into(m, m, s[b])
+
+
+def _covariances_into(out, M, s) -> None:
+    """Covariances of (3,3,B) rotations M and (B,3) scales s into (3,3,B) `out`.
+
+    M is scaled in place. All six entries are computed before any is written,
+    so `out` may be M itself.
+    """
+    M *= s.T
+    entries = list(_covariance_entries(M))
+    for (i, j), v in zip(_UPPER, entries):
+        out[i, j] = v
+        out[j, i] = v
 
 
 @dataclass(frozen=True)
@@ -530,11 +583,8 @@ class CameraView(_Value):
         return self._camera(_points(points)).T
 
     def _camera(self, pts, out=None) -> np.ndarray:
-        """R p + t of (B,3) points as a (3,B) array, written into `out` when one is given.
-
-        Without `out` the product is the `@` operator, the cheapest call for one point.
-        """
-        cam = self.rotation @ pts.T if out is None else np.matmul(self.rotation, pts.T, out=out)
+        """R p + t of (B,3) points as a (3,B) array, written into `out` when one is given."""
+        cam = np.matmul(self.rotation, pts.T, out=out)
         cam += self.translation[:, None]
         return cam
 

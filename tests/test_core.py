@@ -884,9 +884,48 @@ class TestSplit:
         assert core._pool is None
         monkeypatch.setattr(core, "_cpus", lambda: 1)
         gs.validate()
-        gs.covariances()
-        view.project(gs.positions)
+        serial = gs.covariances(), *view.project(gs.positions)
         assert core._pool is None
+        monkeypatch.setattr(core, "_cpus", lambda: 2)
+        split = gs.covariances(), *view.project(gs.positions)
+        assert core._pool is not None
+        assert all(np.array_equal(a, b) for a, b in zip(serial, split))
+
+    @pytest.mark.parametrize("files, cpus", [
+        ({}, 2), ({"cpu.max": "max 100000\n"}, 2), ({"cpu.max": "200000 100000\n"}, 2),
+        ({"cpu.max": "150000 100000\n"}, 1), ({"cpu.max": "50000 100000\n"}, 1),
+        ({"cpu.max": "400000 100000\n"}, 2), ({"quota": "-1\n", "period": "100000\n"}, 2),
+        ({"quota": "100000\n", "period": "100000\n"}, 1), ({"cpu.max": "garbled"}, 2),
+        ({"quota": "100000\n"}, 2)])
+    def test_cpus_are_capped_by_the_cgroup_quota(self, monkeypatch, tmp_path, files, cpus):
+        monkeypatch.undo()  # the real _cpus, not the two_cpus fixture's
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(core, "_CPU_QUOTA_FILES", (
+            (str(tmp_path / "cpu.max"),), (str(tmp_path / "quota"), str(tmp_path / "period"))))
+        assert core._cpus() == cpus
+
+    @pytest.mark.parametrize("failure", ["interpreter shutdown", "thread start"])
+    def test_runs_serially_when_the_helper_takes_no_work(self, monkeypatch, failure):
+        import concurrent.futures.thread
+
+        gs, _ = _split_inputs(26)
+        expected = gs.covariances()
+        monkeypatch.setattr(core, "_pool", None)
+        if failure == "interpreter shutdown":  # as in an atexit handler
+            monkeypatch.setattr(concurrent.futures.thread, "_shutdown", True)
+        else:
+            def no_thread(self):
+                raise RuntimeError("can't start new thread")
+            monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert np.array_equal(gs.covariances(), expected)
+        assert core._pool is None
+        monkeypatch.undo()
+        monkeypatch.setattr(core, "_cpus", lambda: 2)
+        monkeypatch.setattr(core, "_pool", None)
+        assert np.array_equal(gs.covariances(), expected)  # a new pool takes work again
+        assert core._pool is not None
 
     @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (0, 2), (0, BLOCK + 1), (0, 2 * BLOCK),
                                         (0, 2 * BLOCK + 1), (2 * BLOCK, 4 * BLOCK + 1)])
