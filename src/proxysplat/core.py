@@ -75,18 +75,27 @@ def _check_gaussians(*values) -> None:
                 raise ValueError(f"gaussian {name} must be {rule}")
 
 
-def _field(a, shape, name, dtype=np.float64) -> np.ndarray:
-    """`a` as a read-only `dtype` array of `shape`; otherwise ValueError naming `name`.
+def _real(a, name, dtype=np.float64) -> np.ndarray:
+    """`a` as a `dtype` array, not a copy when it has `dtype` already.
 
-    A length of None in `shape` matches any length. Only real numbers (dtype kind
-    b, i, u or f) are taken; any other kind is a ValueError, not a lossy cast or a parse.
-    Not a copy when `a` has `dtype` already, and a read-only array comes back as it is.
+    Only real numbers (dtype kind b, i, u or f) are taken; any other kind is a
+    ValueError naming `name`, not a lossy cast or a parse.
     """
     out = np.asarray(a)
     if out.dtype != dtype:
         if out.dtype.kind not in "biuf":
             raise ValueError(f"{name}: expected real numbers, got dtype {out.dtype}")
         out = out.astype(dtype)
+    return out
+
+
+def _field(a, shape, name, dtype=np.float64) -> np.ndarray:
+    """`a` as a read-only `_real` array of `shape`; otherwise ValueError naming `name`.
+
+    A length of None in `shape` matches any length. Not a copy when `a` has
+    `dtype` already, and a read-only array comes back as it is.
+    """
+    out = _real(a, name, dtype)
     if out.shape != shape and not (
             out.ndim == len(shape) and all(s in (None, k) for s, k in zip(shape, out.shape))):
         raise ValueError(f"{name}: expected shape {shape}, got {out.shape}")
@@ -261,12 +270,12 @@ def _covariance_entries(m):
 
 
 def _points(points) -> np.ndarray:
-    """`points` as an (N,3) float64 array, one (3,) point as N = 1; other shapes raise.
+    """`points` as an (N,3) `_real` array, one (3,) point as N = 1; other shapes raise.
 
     Not `_field`: `project_point` calls this once per point and so skips the cost of
     a read-only view.
     """
-    pts = np.asarray(points, dtype=np.float64)
+    pts = _real(points, "points")
     if pts.shape == (3,):
         return pts.reshape(1, 3)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -347,7 +356,8 @@ class Gaussian3D(_Value):
     `GaussianSet.validate`, read value by value: each component of position,
     scale and color, q.q of the rotation, and the opacity, as Python floats.
     q.q is `_quat_norm2` on Python floats, so a component too large to square
-    gives q.q = inf and a ValueError, not an overflow warning.
+    gives q.q = inf and a ValueError, not an overflow warning. The opacity is
+    kept as given, once `_real` has found it a real number.
     """
 
     position: np.ndarray
@@ -360,6 +370,8 @@ class Gaussian3D(_Value):
         for name, shape, _, _, _ in _GAUSSIAN:
             if shape:  # opacity stays the scalar it was given
                 object.__setattr__(self, name, _field(getattr(self, name), shape, name))
+        if not isinstance(self.opacity, float):  # a float, numpy's float64 too, is real
+            _real(self.opacity, "opacity")
         n2 = _quat_norm2(*self.rotation.tolist())
         _check_gaussians(self.position.tolist(), self.scale.tolist(), (n2,),
                          (self.opacity,), self.color.tolist())
@@ -679,7 +691,7 @@ def project_point(view: CameraView, p) -> tuple[np.ndarray, float]:
     """Pinhole projection of one point; depth < 0 flags behind-camera."""
     if isinstance(p, Point3):
         p = p.as_array()
-    pix, z = view.project(np.asarray(p, dtype=np.float64).reshape(1, 3))
+    pix, z = view.project(np.asarray(p).reshape(1, 3))
     return pix[0], float(z[0])
 
 

@@ -141,3 +141,25 @@ def test_gain_on_a_lower_is_better_metric_is_a_drop():
     assert bench_pairs.gain(10, 10, parent, [4.0] * 10, "lower")
     assert not bench_pairs.gain(0, 10, parent, [6.0] * 10, "lower")
     assert bench_pairs.gain(10, 10, parent, [6.0] * 10, "higher")  # a rise, were higher better
+
+
+def _traced(side, pair, metrics):
+    return {**_run(side, pair, 0.0, 0.0), "trace": 1,
+            "result": {"metrics": {m: {"value": v} for m, v in metrics.items()},
+                       "failed": 0, "attempted": 4, "correct": True}}
+
+
+def test_traced_summary_gives_calls_only_where_the_sides_differ():
+    parent = {"rotations.calls": 1.0, "rotations.self_ms": 30.0, "covariances.calls": 1.0,
+              "covariances.self_ms": 20.0, "psnr.calls": 0.0, "psnr.self_ms": 0.0}
+    change = {**parent, "rotations.calls": 0.0, "rotations.self_ms": 0.0,
+              "covariances.self_ms": 45.0}
+    runs = [_traced("parent", k, parent) for k in range(2)]
+    runs += [_traced("change", k, change) for k in range(2)]
+    lines = bench_pairs.summary(runs, DIRECTIONS, {})
+    assert lines[0].startswith("== w traced: 2 pairs;")
+    assert "parent 1 [1, 1] -> change 0 [0, 0]" in _line(lines, "rotations.calls")
+    assert "-> change 0 " in _line(lines, "rotations.self_ms")
+    assert "-> change 45 " in _line(lines, "covariances.self_ms")
+    listed = {line.split()[0] for line in lines[1:]}
+    assert listed == {"rotations.calls", "rotations.self_ms", "covariances.self_ms"}

@@ -254,6 +254,12 @@ class TestGaussianInvariants:
     def test_rejects_opacity_out_of_range(self):
         with pytest.raises(ValueError):
             _gaussian(opacity=1.5)
+        # Not a real number: a ValueError naming the field, not a TypeError or a complex field.
+        for bad in (np.complex128(0.5), 0.5 + 0j, "0.5", np.array("0.5")):
+            with pytest.raises(ValueError, match="opacity"):
+                _gaussian(opacity=bad)
+        for ok in (0.5, np.float32(0.5), 1, True):
+            assert _gaussian(opacity=ok).opacity is ok  # kept as given
 
     def test_rejects_color_out_of_range(self):
         with pytest.raises(ValueError):
@@ -485,6 +491,15 @@ class TestProject:
                 view.project(np.zeros(shape))
             with pytest.raises(ValueError, match="points"):
                 view.to_camera(np.zeros(shape))
+        # Only real numbers: no complex part dropped, no string parsed.
+        for bad in (np.array([[1 + 5j, 0, 2]]), np.array([1 + 5j, 0, 2]), ["1", "0", "2"],
+                    np.array([[1.0, 0.0, 2.0]], dtype=object)):
+            with pytest.raises(ValueError, match="points"):
+                view.project(bad)
+            with pytest.raises(ValueError, match="points"):
+                view.to_camera(bad)
+            with pytest.raises(ValueError, match="points"):
+                project_point(view, bad)
 
 
 class TestCameraInvariants:
@@ -949,6 +964,25 @@ class TestSplit:
             cov = covariances_from_arrays(scales, quats)
         assert np.isnan(cov[-1]).all()
         assert np.array_equal(cov[:-1], covariances_from_arrays(scales[:-1], quats[:-1]))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_covariances_make_no_full_size_array_besides_the_output(self, monkeypatch, cpus):
+        import tracemalloc
+
+        monkeypatch.setattr(core, "_cpus", lambda: cpus)
+        scales, quats = _random_params(np.random.default_rng(27), SPLIT_SIZES[1])
+        covariances_from_arrays(scales, quats)  # the helper thread, if any, exists from here
+        tracemalloc.start()
+        try:
+            out = covariances_from_arrays(scales, quats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Each thread may hold one block's temporaries: at most nine float64 columns of a
+        # block's rows, the size of one block of the output. A full-size copy of the
+        # quaternions alone would add 16 columns of BLOCK rows.
+        block = 9 * 8 * (SPLIT_SIZES[1] - 3 * BLOCK)  # the widest block, the last one
+        assert peak <= out.nbytes + cpus * block
 
     def test_public_calls_come_from_the_calling_thread(self, monkeypatch):
         calls, parts = [], []

@@ -17,9 +17,10 @@ median gap against the parent's interquartile range, `gain` where the change
 meets the rule for claiming one (see `gain`) and, for each end-to-end metric, a
 verdict against its BENCHMARK.json bound (see `verdict`). The failed ops get a
 verdict too: `worse` when the change fails a larger share of the ops it
-attempted than the parent does, else `within`. Each workload's header gives the
-CPUs each side's runs could use, since the library splits large kernels
-across two threads when it may.
+attempted than the parent does, else `within`. Traced runs are summarised by
+each layer's self time, and by its calls per op where the sides' medians
+differ. Each workload's header gives the CPUs each side's runs could use,
+since the library splits large kernels across two threads when it may.
 """
 
 from __future__ import annotations
@@ -111,10 +112,13 @@ def summary(runs: list[dict], directions: dict[str, str], bounds: dict[str, floa
                 f"failed/attempted parent {pf}/{pa} change {cf}/{ca} "
                 f"{'worse' if cf * pa > pf * ca else 'within'}; "  # cf/ca > pf/pa, in integers
                 f"all correct {all(r['result']['correct'] for r in mine)}")
-            # Traced runs: the self time of each layer the workload calls.
+            # Traced runs: the self time of each layer the workload calls, and its calls per
+            # op where the two sides' medians differ, since a layer may stop being called.
             names = directions if not trace else {
                 m: "lower" for m in mine[0]["result"]["metrics"]
-                if m.endswith(".self_ms") and any(value(r, m) for r in mine)}
+                if m.endswith(".self_ms") and any(value(r, m) for r in mine)
+                or m.endswith(".calls") and len({statistics.median(value(r, m) for r in rs)
+                                                 for rs in sides.values()}) > 1}
             width = max(map(len, names), default=0)
             for metric, better in names.items():
                 p = [value(r, metric) for r in sides["parent"]]
