@@ -10,13 +10,13 @@ A gaussian's fields, shapes and bounds are written once, in the record table `_G
 Every array argument passes `_field`: real numbers of a shape whose None lengths match any.
 
 The row kernels `quats_to_rotations`, `covariances_from_arrays`, `GaussianSet.validate`
-and `CameraView.project` (of more than one point) work in blocks of BLOCK rows (8 192
-for covariances on one thread). From 4 * BLOCK rows (131 072), when the process may use
-two CPUs by its affinity mask and cgroup quota, `_split` gives the blocks past the
-middle to one helper thread. Every output element is computed by the same
-operations either way, so the result equals the serial one bit for bit. The helper runs
-only private functions, so every public entry point is entered from the calling thread,
-and a tracer that wraps them sees one thread. `psnr` stays on one thread.
+and `CameraView.project` (of more than one point) work in blocks of BLOCK rows. From
+4 * BLOCK rows (131 072), when the process may use two CPUs by its affinity mask and
+cgroup quota, `_split` gives the blocks past the middle to one helper thread. Every output
+element is computed by the same operations either way, so the result equals the serial
+one bit for bit. The helper runs only private functions, so every public entry point is
+entered from the calling thread, and a tracer that wraps them sees one thread. `psnr`
+stays on one thread.
 """
 
 from __future__ import annotations
@@ -144,11 +144,6 @@ def _cpus() -> int:
     return n
 
 
-def _serial(n: int) -> bool:
-    """Whether `_split` runs an n-row call on the calling thread alone."""
-    return n < 4 * BLOCK or _cpus() < 2
-
-
 def _blocks(lo: int, hi: int):
     """Slices of BLOCK rows that cover [lo, hi), the last one widened by the rest.
 
@@ -190,7 +185,7 @@ def _split(fn, n: int) -> list:
     that those are entered from the calling thread alone.
     """
     global _pool
-    if _serial(n):
+    if n < 4 * BLOCK or _cpus() < 2:
         return [fn(0, n)]
     with _pool_lock:
         if _pool is None:
@@ -400,13 +395,10 @@ def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray
     unique entries are computed; each is written at (i, j) and (j, i), so the
     result is exactly symmetric. No full-size array is made besides the output.
 
-    On one thread (see `_split`) the rows go in blocks of BLOCK // 4 (8 192):
-    a block's rotations come from `quats_to_rotations`, and they, M and the
-    products stay in a core's L2 while the output is written once. From
-    4 * BLOCK rows on two CPUs the rotations instead come from one
-    `quats_to_rotations` call, made in the calling thread, and their (3,3,N)
-    buffer becomes the output: the two threads turn its blocks of BLOCK rows
-    into covariances in place. Both give the same bits.
+    The rotations come from one `quats_to_rotations` call, made in the calling
+    thread, and their (3,3,N) buffer becomes the output: its blocks of BLOCK
+    rows are turned into covariances in place, split between two threads from
+    4 * BLOCK rows (see `_split`).
 
     The result is the (N,3,3) transpose of a (3,3,N) buffer, so each entry
     over all rows is contiguous and every store is a contiguous run. Only the
@@ -414,12 +406,6 @@ def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray
     """
     q = _field(quats, (None, 4), "quats")
     s = _field(scales, (len(q), 3), "scales")
-    if _serial(len(q)):
-        out = np.empty((3, 3, len(q)))
-        for lo in range(0, len(q), BLOCK // 4):
-            b = slice(lo, lo + BLOCK // 4)
-            _covariances_into(out[:, :, b], quats_to_rotations(q[b]).transpose(1, 2, 0), s[b])
-        return out.transpose(2, 0, 1)
     M = quats_to_rotations(q).transpose(1, 2, 0)
     _split(partial(_covariances_over, M, s), len(q))
     return M.transpose(2, 0, 1)
@@ -428,21 +414,19 @@ def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray
 def _covariances_over(M, s, lo, hi) -> None:
     """Turn rows lo:hi of the (3,3,N) rotations M into covariances, in place."""
     for b in _blocks(lo, hi):
-        m = M[:, :, b]
-        _covariances_into(m, m, s[b])
+        _covariances_into(M[:, :, b], s[b])
 
 
-def _covariances_into(out, M, s) -> None:
-    """Covariances of (3,3,B) rotations M and (B,3) scales s into (3,3,B) `out`.
+def _covariances_into(M, s) -> None:
+    """Turn (3,3,B) rotations M into the covariances of (B,3) scales s, in place.
 
-    M is scaled in place. All six entries are computed before any is written,
-    so `out` may be M itself.
+    M is scaled first. All six entries are computed before any is written back.
     """
     M *= s.T
     entries = list(_covariance_entries(M))
     for (i, j), v in zip(_UPPER, entries):
-        out[i, j] = v
-        out[j, i] = v
+        M[i, j] = v
+        M[j, i] = v
 
 
 @dataclass(frozen=True)
@@ -550,7 +534,8 @@ class CameraView(_Value):
     pixel = (fx * x/z + cx, fy * y/z + cy); raster pixel [row, col]
     samples the image plane at (x=col, y=row). A view holds no image: a
     target photo is a (height, width, 3) `Raster` that the caller pairs
-    with its view.
+    with its view. The intrinsics fx, fy, cx, cy, width and height are kept
+    as given, once `_real` has found them real numbers.
     """
 
     rotation: np.ndarray  # (3, 3) world-to-camera
@@ -565,6 +550,9 @@ class CameraView(_Value):
     def __post_init__(self):
         object.__setattr__(self, "rotation", _field(self.rotation, (3, 3), "rotation"))
         object.__setattr__(self, "translation", _field(self.translation, (3,), "translation"))
+        for name in ("fx", "fy", "cx", "cy", "width", "height"):
+            if not isinstance(getattr(self, name), (int, float)):  # numpy's float64 too is real
+                _real(getattr(self, name), name)
         # Every check is written so that NaN fails it, as in _check_gaussians.
         if not all(1 <= v and float(v).is_integer() for v in (self.width, self.height)):
             raise ValueError("image width and height must be integers >= 1")

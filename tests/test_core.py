@@ -33,7 +33,9 @@ from proxysplat.core import (
 )
 
 F64_MAX = np.finfo(np.float64).max
-QUARTER = BLOCK // 4  # 8 192 rows: sizes near its multiples end inside a block
+# 8 192 rows. Sizes near its multiples stay as inputs: each fills part of one BLOCK, and
+# each would cross a block edge of a kernel that cut its rows into quarter BLOCKs.
+QUARTER = BLOCK // 4
 SPLIT_SIZES = [4 * BLOCK + 1, 4 * BLOCK + 7]  # the smallest sizes the row kernels split
 
 
@@ -218,6 +220,21 @@ class TestCovarianceKernel:
         rows = cov[idx]
         assert np.array_equal(rows, rows.transpose(0, 2, 1))
         assert np.abs(rows - _einsum_covariances(scales, quats)[idx]).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, cpus", [(1, 1), (2 * QUARTER + 1, 1), (10**5, 1),
+                                         (SPLIT_SIZES[0], 2)])
+    def test_rotations_come_from_one_call_over_every_row(self, monkeypatch, n, cpus):
+        # One code path for every size and CPU count: no per-block rotation calls.
+        monkeypatch.setattr(core, "_cpus", lambda: cpus)
+        rows = []
+
+        def counted(quats):
+            rows.append(len(quats))
+            return quats_to_rotations(quats)
+
+        monkeypatch.setattr(core, "quats_to_rotations", counted)
+        covariances_from_arrays(*_random_params(np.random.default_rng(n), n))
+        assert rows == [n]
 
     def test_rejects_mismatched_scales(self):
         scales, quats = _random_params(np.random.default_rng(12), 5)
@@ -517,11 +534,16 @@ class TestCameraInvariants:
         with pytest.raises(ValueError):
             CameraView(R, np.zeros(3), 100, 100, 50, 50, 100, 100)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [
+        np.nan, np.inf, -np.inf,
+        # numpy orders complex numbers, and Python's raise TypeError when compared.
+        pytest.param(np.complex128(50), id="complex128"), pytest.param(50 + 0j, id="complex"),
+        pytest.param("50", id="str")])
     @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
     def test_rejects_non_finite_intrinsics(self, field, bad):
         intrinsics = {"fx": 100.0, "fy": 100.0, "cx": 50.0, "cy": 50.0, field: bad}
-        with pytest.raises(ValueError):
+        match = None if isinstance(bad, float) else field
+        with pytest.raises(ValueError, match=match):
             CameraView(np.eye(3), np.zeros(3), width=100, height=100, **intrinsics)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -564,8 +586,11 @@ class TestCameraInvariants:
         with pytest.raises(ValueError, match="finite"):
             CameraView.look_at(points["eye"], points["target"], 100, 100, 50, 50, 100, 100)
 
-    @pytest.mark.parametrize("width, height", [(0, 0), (0, 1), (1, 0), (np.nan, 1), (1, np.nan),
-                                               (1.5, 2.5), (1, 2.5), (np.inf, 1), (1, np.inf)])
+    @pytest.mark.parametrize("width, height", [
+        (0, 0), (0, 1), (1, 0), (np.nan, 1), (1, np.nan), (1.5, 2.5), (1, 2.5), (np.inf, 1),
+        (1, np.inf), pytest.param("4", 1, id="str-1"), pytest.param(1, "4", id="1-str"),
+        pytest.param(np.complex128(4), 1, id="complex128-1"),
+        pytest.param(1, 4 + 0j, id="1-complex")])
     def test_rejects_resolution_below_one_pixel(self, width, height):
         with pytest.raises(ValueError):
             CameraView(np.eye(3), np.zeros(3), 100, 100, -0.5, -0.5, width, height)
@@ -965,12 +990,14 @@ class TestSplit:
         assert np.isnan(cov[-1]).all()
         assert np.array_equal(cov[:-1], covariances_from_arrays(scales[:-1], quats[:-1]))
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_covariances_make_no_full_size_array_besides_the_output(self, monkeypatch, cpus):
+    @pytest.mark.parametrize("cpus, n", [
+        pytest.param(1, SPLIT_SIZES[1], id="1"), pytest.param(2, SPLIT_SIZES[1], id="2"),
+        pytest.param(1, 10**5, id="1-100000")])
+    def test_covariances_make_no_full_size_array_besides_the_output(self, monkeypatch, cpus, n):
         import tracemalloc
 
         monkeypatch.setattr(core, "_cpus", lambda: cpus)
-        scales, quats = _random_params(np.random.default_rng(27), SPLIT_SIZES[1])
+        scales, quats = _random_params(np.random.default_rng(27), n)
         covariances_from_arrays(scales, quats)  # the helper thread, if any, exists from here
         tracemalloc.start()
         try:
@@ -981,7 +1008,7 @@ class TestSplit:
         # Each thread may hold one block's temporaries: at most nine float64 columns of a
         # block's rows, the size of one block of the output. A full-size copy of the
         # quaternions alone would add 16 columns of BLOCK rows.
-        block = 9 * 8 * (SPLIT_SIZES[1] - 3 * BLOCK)  # the widest block, the last one
+        block = 9 * 8 * (n - (n // BLOCK - 1) * BLOCK)  # the widest block, the last one
         assert peak <= out.nbytes + cpus * block
 
     def test_public_calls_come_from_the_calling_thread(self, monkeypatch):
