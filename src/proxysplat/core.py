@@ -10,13 +10,13 @@ A gaussian's fields, shapes and bounds are written once, in the record table `_G
 Every array argument passes `_field`: real numbers of a shape whose None lengths match any.
 
 The row kernels `quats_to_rotations`, `covariances_from_arrays`, `GaussianSet.validate`
-and `CameraView.project` (of more than one point) work in blocks of BLOCK rows. From
-4 * BLOCK rows (131 072), when the process may use two CPUs by its affinity mask and
-cgroup quota, `_split` gives the blocks past the middle to one helper thread. Every output
-element is computed by the same operations either way, so the result equals the serial
-one bit for bit. The helper runs only private functions, so every public entry point is
-entered from the calling thread, and a tracer that wraps them sees one thread. `psnr`
-stays on one thread.
+and `CameraView.project` (of more than one point) each hand `_split` a function of one
+block of rows, and `_split` calls it on every block of `_blocks(n)`. From 4 * BLOCK rows
+(131 072), when the process may use two CPUs by its affinity mask and cgroup quota, the
+blocks past the middle go to one helper thread. Every block is computed by the same
+operations either way, so the result equals the serial one bit for bit. The helper runs
+only private functions, so every public entry point is entered from the calling thread,
+and a tracer that wraps them sees one thread. `psnr` stays on one thread.
 """
 
 from __future__ import annotations
@@ -144,67 +144,68 @@ def _cpus() -> int:
     return n
 
 
-def _blocks(lo: int, hi: int):
-    """Slices of BLOCK rows that cover [lo, hi), the last one widened by the rest.
+def _blocks(n: int):
+    """Slices of BLOCK rows that cover rows [0, n) in order, the last one widened by the rest.
 
-    No block is shorter than BLOCK unless the whole range is, so a block is one
-    row only when the range is: numpy hands a one-column matrix product to BLAS
-    gemv, whose bits can differ from those of the same column in a wider product.
+    No block is shorter than BLOCK unless n is, so a block is one row only when
+    n is 1: numpy hands a one-column matrix product to BLAS gemv, whose bits can
+    differ from those of the same column in a wider product.
     """
-    b = lo
-    while hi - b >= 2 * BLOCK:
+    b = 0
+    while n - b >= 2 * BLOCK:
         yield slice(b, b + BLOCK)
         b += BLOCK
-    if b < hi:
-        yield slice(b, hi)
+    if b < n:
+        yield slice(b, n)
 
 
 def _split(fn, n: int) -> list:
-    """[fn(0, n)], or [fn(0, mid), fn(mid, n)] with the second part on a helper thread.
+    """[fn(b) for b in _blocks(n)], with the second half of the blocks on a helper thread.
 
     Below 4 * BLOCK rows, or when the process may use fewer than two CPUs (see
-    `_cpus`), `fn` runs once in the calling thread, and no thread is started
-    and nothing imported. Otherwise `mid` is a whole number of blocks near
-    n / 2: one helper thread runs fn(mid, n) in a copy of the caller's
-    context, so it sees the caller's `np.errstate`, while the calling thread
-    runs fn(0, mid). The call returns or raises only once both parts are
-    done, so no part writes into a buffer afterwards. numpy releases the GIL
-    in each block-sized ufunc and BLAS call, which is where the two parts
+    `_cpus`), every block runs in the calling thread, and no thread is started
+    and nothing imported. Otherwise one helper thread maps `fn` over the
+    blocks from len(blocks) // 2 on, in a copy of the caller's context, so it
+    sees the caller's `np.errstate`, while the calling thread maps it over the
+    blocks before them. The call returns or raises only once both halves are
+    done, so no block writes into a buffer afterwards. numpy releases the GIL
+    in each block-sized ufunc and BLAS call, which is where the two halves
     overlap. Where the helper takes no work (at interpreter shutdown, or when
-    its thread cannot be started), `fn` runs once in the calling thread.
+    its thread cannot be started), every block runs in the calling thread.
 
     The helper thread lives in a one-thread pool that later calls reuse. A
     thread started per call was slower on 2 vCPUs: 10^6-row `validate` and
     `project` calls took 0.58-0.72 of the serial time, against 0.53-0.58
     with the pool.
 
-    `fn` writes only its own rows of any shared output, and its result for a
-    range depends only on those rows, so the results equal the serial ones bit
-    for bit. It calls only private helpers: never `_split`, which could wait on
+    `fn(b)` writes only block b's rows of any shared output, and its result
+    depends only on those rows, so the results equal the serial ones bit for
+    bit. It calls only private helpers: never `_split`, which could wait on
     the one helper thread from that thread, and never a public entry point, so
     that those are entered from the calling thread alone.
     """
     global _pool
+    blocks = list(_blocks(n))
     if n < 4 * BLOCK or _cpus() < 2:
-        return [fn(0, n)]
+        return [*map(fn, blocks)]
     with _pool_lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
             _pool = ThreadPoolExecutor(1, thread_name_prefix="proxysplat")
         pool = _pool
-    mid = n // (2 * BLOCK) * BLOCK
+    half = len(blocks) // 2
     try:
-        tail = pool.submit(contextvars.copy_context().run, fn, mid, n)
+        tail = pool.submit(contextvars.copy_context().run, list, map(fn, blocks[half:]))
     except RuntimeError:
         # A pool whose thread failed to start keeps the work queued; it must never run.
         _pool = None
-        return [fn(0, n)]
+        return [*map(fn, blocks)]
     try:
-        head = fn(0, mid)
+        head = [*map(fn, blocks[:half])]
     finally:
-        tail.exception()  # waits for the helper, whether or not fn(0, mid) raised
-    return [head, tail.result()]
+        tail.exception()  # waits for the helper, whether or not a head block raised
+    return head + tail.result()
 
 
 class _Value:
@@ -312,28 +313,33 @@ def quats_to_rotations(quats: np.ndarray) -> np.ndarray:
     return R.transpose(2, 0, 1)
 
 
-def _rotations_into(R9, q, lo, hi) -> None:
-    """Rotations of quaternions q[lo:hi] into columns lo:hi of the (9,N) entry rows R9.
+def _rotations_into(R9, q, b) -> None:
+    """Rotations of the quaternions of block b of q into columns b of the (9,N) entry rows R9.
 
-    A block's contiguous columns w, x, y, z are copied out of q first. Each
+    The block's contiguous columns w, x, y, z are copied out of q first. Each
     entry is stored before the next is computed, so at most one block-sized
     entry is alive at a time.
     """
-    for b in _blocks(lo, hi):
-        entries = _rotation_entries(*q[b].T.copy())
-        for row in R9[:, b]:
-            row[...] = next(entries)
+    entries = _rotation_entries(*q[b].T.copy())
+    for row in R9[:, b]:
+        row[...] = next(entries)
 
 
 @dataclass(frozen=True)
 class Point3:
-    """A world-space point in meters."""
+    """A world-space point in meters.
+
+    The components are kept as given, once `_real` has found them real numbers.
+    """
 
     x: float
     y: float
     z: float
 
     def __post_init__(self):
+        for name in ("x", "y", "z"):
+            if not isinstance(getattr(self, name), (int, float)):  # numpy's float64 too is real
+                _real(getattr(self, name), name)
         if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.z)):
             raise ValueError("Point3 components must be finite")
 
@@ -407,26 +413,22 @@ def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray
     q = _field(quats, (None, 4), "quats")
     s = _field(scales, (len(q), 3), "scales")
     M = quats_to_rotations(q).transpose(1, 2, 0)
-    _split(partial(_covariances_over, M, s), len(q))
+    _split(partial(_covariances_into, M, s), len(q))
     return M.transpose(2, 0, 1)
 
 
-def _covariances_over(M, s, lo, hi) -> None:
-    """Turn rows lo:hi of the (3,3,N) rotations M into covariances, in place."""
-    for b in _blocks(lo, hi):
-        _covariances_into(M[:, :, b], s[b])
+def _covariances_into(M, s, b) -> None:
+    """Turn block b of the (3,3,N) rotations M into the covariances of scales s[b], in place.
 
-
-def _covariances_into(M, s) -> None:
-    """Turn (3,3,B) rotations M into the covariances of (B,3) scales s, in place.
-
-    M is scaled first. All six entries are computed before any is written back.
+    The block is scaled first. All six entries are computed before any is
+    written back, and they are freed before the next block.
     """
-    M *= s.T
-    entries = list(_covariance_entries(M))
+    blk = M[:, :, b]
+    blk *= s[b].T
+    entries = list(_covariance_entries(blk))
     for (i, j), v in zip(_UPPER, entries):
-        M[i, j] = v
-        M[j, i] = v
+        blk[i, j] = v
+        blk[j, i] = v
 
 
 @dataclass(frozen=True)
@@ -471,28 +473,21 @@ class GaussianSet(_Value):
 
         From 4 * BLOCK rows the rows are split between two threads (see `_split`).
         """
-        if len(self) == 0:
-            return  # min and max below are undefined on empty arrays
-        parts = _split(self._extremes, len(self))
+        parts = _split(self._extremes, len(self))  # no parts, and so no check, when empty
         _check_gaussians(*(chain(*column) for column in zip(*parts)))
 
-    def _extremes(self, lo: int, hi: int) -> list:
-        """(min, max) of rows [lo, hi) of each column, q.q for the rotations, in _GAUSSIAN order.
+    def _extremes(self, b: slice) -> list:
+        """(min, max) of block b's rows of each column, q.q for the rotations, in _GAUSSIAN order.
 
         numpy's min and max, unlike the builtins, give NaN when any value is NaN,
         so a NaN row fails the check. The reductions make no temporaries, and
-        q.q is summed and reduced a block of rows at a time, while the block is
-        in cache. A q.q that overflows is inf and fails the check, so it is not
-        worth a warning.
+        q.q is summed and reduced while the block is in cache. A q.q that
+        overflows is inf and fails the check, so it is not worth a warning.
         """
-        n2 = []
         with np.errstate(over="ignore"):
-            for b in _blocks(lo, hi):
-                block = _quat_norm2(*self.rotations[b].T)
-                n2 += block.min(), block.max()
-        rows = slice(lo, hi)
-        return [(a.min(), a.max()) for a in (self.positions[rows], self.scales[rows],
-                                             np.array(n2), self.opacities[rows], self.colors[rows])]
+            n2 = _quat_norm2(*self.rotations[b].T)
+        return [(a.min(), a.max()) for a in (self.positions[b], self.scales[b], n2,
+                                             self.opacities[b], self.colors[b])]
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -625,18 +620,17 @@ class CameraView(_Value):
         _split(partial(self._project_into, cam, pts, f, c), len(pts))
         return cam[:2].T, cam[2]
 
-    def _project_into(self, cam, pts, f, c, lo, hi) -> None:
-        """Pixels and depths of points pts[lo:hi] into columns lo:hi of the (3,N) cam."""
-        for b in _blocks(lo, hi):
-            blk = self._camera(pts[b], cam[:, b])
-            xy, z = blk[:2], blk[2]
-            if z.all():
-                _pixel(xy, f, z, c)
-            else:
-                # x / tiny overflows to +-inf once |fx x| exceeds about 4; that
-                # result is expected, not an error worth a warning.
-                with np.errstate(over="ignore"):
-                    _pixel(xy, f, np.where(z == 0.0, _F64_TINY, z), c)
+    def _project_into(self, cam, pts, f, c, b) -> None:
+        """Pixels and depths of the points of block b of pts into columns b of the (3,N) cam."""
+        blk = self._camera(pts[b], cam[:, b])
+        xy, z = blk[:2], blk[2]
+        if z.all():
+            _pixel(xy, f, z, c)
+        else:
+            # x / tiny overflows to +-inf once |fx x| exceeds about 4; that
+            # result is expected, not an error worth a warning.
+            with np.errstate(over="ignore"):
+                _pixel(xy, f, np.where(z == 0.0, _F64_TINY, z), c)
 
     def unproject(self, pixels: np.ndarray, depths: np.ndarray) -> np.ndarray:
         """Inverse of project: (N,2) pixels + (N,) camera-space depths -> (N,3) world points.

@@ -39,6 +39,18 @@ def test_an_empty_seed_range_stops_before_any_run(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("traced", [["--traced", "w"], ["--traced-seeds", "7"]])
+def test_traced_workloads_without_seeds_or_seeds_without_workloads_stop_before_any_run(
+        tmp_path, monkeypatch, traced):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(bench_pairs, "run", no_run)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--out", str(out), "--workloads", "w", "--seeds", "1", *traced])
+    assert not out.exists()
+
+
 def test_quartiles():
     assert bench_pairs.quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == [2.0, 3.0, 4.0]
     assert bench_pairs.quartiles([7.0]) == [7.0, 7.0, 7.0]

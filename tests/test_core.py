@@ -299,12 +299,14 @@ class TestGaussianInvariants:
         with pytest.raises(ValueError):
             Point3(np.nan, 0.0, 0.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.complex128(1 + 2j), 1 + 0j,
+                                     "1.0"])
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_point3_rejects_non_finite_components(self, index, bad):
         xyz = [0.0, 0.0, 0.0]
         xyz[index] = bad
-        with pytest.raises(ValueError):
+        match = "xyz"[index] if isinstance(bad, (str, complex)) else None
+        with pytest.raises(ValueError, match=match):
             Point3(*xyz)
 
     @settings(max_examples=300, deadline=None)
@@ -967,15 +969,29 @@ class TestSplit:
         assert np.array_equal(gs.covariances(), expected)  # a new pool takes work again
         assert core._pool is not None
 
-    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (0, 2), (0, BLOCK + 1), (0, 2 * BLOCK),
-                                        (0, 2 * BLOCK + 1), (2 * BLOCK, 4 * BLOCK + 1)])
-    def test_blocks_cover_the_range_and_none_is_one_row_unless_it_is(self, lo, hi):
+    @pytest.mark.parametrize("n", [0, 1, 2, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK + 1],
+                             ids=lambda n: f"0-{n}")  # the range [0, n) that the blocks cover
+    def test_blocks_cover_the_range_and_none_is_one_row_unless_it_is(self, n):
         # A one-row block would make project's matmul a BLAS gemv, whose bits differ.
-        blocks = list(core._blocks(lo, hi))
-        assert [b.start for b in blocks] == list(range(lo, hi, BLOCK))[:len(blocks)]
+        blocks = list(core._blocks(n))
+        assert [b.start for b in blocks] == list(range(0, n, BLOCK))[:len(blocks)]
         assert [b.stop for b in blocks[:-1]] == [b.start for b in blocks[1:]]
-        assert not blocks or blocks[-1].stop == hi
-        assert all(b.stop - b.start >= min(BLOCK, hi - lo) for b in blocks)
+        assert not blocks or blocks[-1].stop == n
+        assert all(b.stop - b.start >= min(BLOCK, n) for b in blocks)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("n", [0, 1, 4 * BLOCK - 1, *SPLIT_SIZES, 6 * BLOCK + 5])
+    def test_split_maps_every_block_once_in_order(self, monkeypatch, cpus, n):
+        monkeypatch.setattr(core, "_cpus", lambda: cpus)
+        results = core._split(lambda b: (b.start, b.stop, threading.get_ident()), n)
+        assert [r[:2] for r in results] == [(b.start, b.stop) for b in core._blocks(n)]
+        threads = [r[2] for r in results]
+        if cpus == 2 and n >= SPLIT_SIZES[0]:
+            half = len(results) // 2
+            assert set(threads[:half]) == {threading.get_ident()}
+            assert len(set(threads[half:])) == 1 and threading.get_ident() not in threads[half:]
+        else:
+            assert set(threads) <= {threading.get_ident()}
 
     def test_helper_thread_sees_the_callers_errstate(self):
         scales, quats = _random_params(np.random.default_rng(21), SPLIT_SIZES[0])
@@ -1034,7 +1050,7 @@ class TestSplit:
                     elif inspect.isfunction(raw) and not attr.startswith("_"):
                         monkeypatch.setattr(value, attr, record(calls, f"{name}.{attr}", raw))
         # The part functions, so that the test sees the calls did split.
-        for owner, attr in ((core, "_rotations_into"), (core, "_covariances_over"),
+        for owner, attr in ((core, "_rotations_into"), (core, "_covariances_into"),
                             (GaussianSet, "_extremes"), (CameraView, "_project_into")):
             monkeypatch.setattr(owner, attr, record(parts, attr, getattr(owner, attr)))
         gs, view = _split_inputs(23)
@@ -1047,7 +1063,7 @@ class TestSplit:
         assert names.count("quats_to_rotations") == names.count("covariances_from_arrays") == 2
         assert {"GaussianSet.validate", "GaussianSet.covariances", "CameraView.project"} <= {
             *names}
-        for attr in ("_rotations_into", "_covariances_over", "_extremes", "_project_into"):
+        for attr in ("_rotations_into", "_covariances_into", "_extremes", "_project_into"):
             assert len({ident for name, ident in parts if name == attr}) == 2, attr
 
     def test_concurrent_callers_share_the_helper_thread(self):

@@ -144,6 +144,8 @@ def main(argv=None) -> None:
     parser.add_argument("--traced", nargs="*", default=[], help="workloads to run traced too")
     parser.add_argument("--traced-seeds", type=seeds, default=[])
     args = parser.parse_args(argv)
+    if bool(args.traced) != bool(args.traced_seeds):
+        parser.error("--traced and --traced-seeds must be given together")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]} | {"op_p50_ms": "lower"}
