@@ -1,5 +1,6 @@
 import argparse
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -39,16 +40,21 @@ def test_an_empty_seed_range_stops_before_any_run(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("traced", [["--traced", "w"], ["--traced-seeds", "7"]])
-def test_traced_workloads_without_seeds_or_seeds_without_workloads_stop_before_any_run(
-        tmp_path, monkeypatch, traced):
-    def no_run(*args, **kwargs):
-        raise AssertionError("a run started")
-    monkeypatch.setattr(bench_pairs, "run", no_run)
-    out = tmp_path / "BENCH.json"
-    with pytest.raises(SystemExit):
-        bench_pairs.main(["--out", str(out), "--workloads", "w", "--seeds", "1", *traced])
-    assert not out.exists()
+def test_traced_pairs_run_on_the_first_two_seeds(tmp_path, monkeypatch):
+    calls = []
+
+    def record(side, tree, workload, seed, seconds, trace):
+        calls.append((workload, seed, side, trace))
+        return {"workload": workload, "seed": seed, "side": side, "trace": trace,
+                "returncode": 1, "result": None, "info": {}, "machine": None}
+    monkeypatch.setattr(bench_pairs, "run", record)
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        lambda args, **kwargs: subprocess.CompletedProcess(args, 0, stdout=""))
+    bench_pairs.main(["--out", str(tmp_path / "BENCH.json"), "--workloads", "w", "v",
+                      "--seeds", "5-9", "--traced", "w"])
+    assert [(w, s) for w, s, _, trace in calls if trace] == [("w", 5)] * 2 + [("w", 6)] * 2
+    assert [(w, s) for w, s, _, trace in calls if not trace] == [
+        (w, s) for w in "wv" for s in range(5, 10) for _ in "pc"]
 
 
 def test_quartiles():

@@ -1,6 +1,7 @@
 import copy
 import functools
 import inspect
+import itertools
 import os
 import pickle
 import signal
@@ -41,7 +42,8 @@ SPLIT_SIZES = [4 * BLOCK + 1, 4 * BLOCK + 7]  # the smallest sizes the row kerne
 
 def _mid(n):
     """The first row of the helper thread's part of a split n-row call."""
-    return n // (2 * BLOCK) * BLOCK
+    blocks = list(core._blocks(n))
+    return blocks[len(blocks) // 2].start
 
 
 @pytest.fixture
@@ -488,6 +490,43 @@ class TestProject:
         for p, row in zip(points, expected):
             pix, depth = view.project(p[None])
             assert np.array_equal(pix, [row])
+
+    @pytest.mark.parametrize("view, points", [
+        pytest.param(CameraView(np.eye(3), np.zeros(3), 1e300, 1e300, 0.0, 0.0, 1, 1),
+                     [[1e10, 0, 1], [0, 0, 1], [0, 0, 0]], id="fx-1e300"),
+        # Along world +x: camera z = world x + 5 exactly, and camera y = -world z.
+        pytest.param(CameraView.look_at((-5, 0, 0), (0, 0, 0), 500.0, 500.0, 319.5, 239.5,
+                                        640, 480),
+                     [[1e308, 0, 1e308], [0, 0, 0], [-5, -1, 0]], id="look_at")])
+    def test_no_pixel_warns_whatever_shares_its_block(self, view, points):
+        # Rows: one whose f * coordinate overflows, an ordinary one, one at z == 0.
+        # Warnings are errors in this suite. A point alone is not compared: its
+        # camera coordinates come from a gemv, whose low bits may differ.
+        points = np.array(points, float)
+        seen = {}
+        for k in (2, 3):
+            for rows in itertools.permutations(range(3), k):
+                pix, depth = view.project(points[list(rows)])
+                for i, p, d in zip(rows, pix, depth):
+                    p0, d0 = seen.setdefault(i, (p, d))
+                    assert np.array_equal(p, p0) and np.array_equal(d, d0), rows
+        assert np.isinf(seen[0][0]).any() and np.isfinite(seen[1][0]).all()
+        assert seen[2][1] == 0.0
+
+    def test_no_pixel_warns_at_the_split_size(self, monkeypatch):
+        # The overflow and the z == 0 row lie in different blocks, on different threads.
+        n = SPLIT_SIZES[0]
+        view = CameraView(np.eye(3), np.zeros(3), 1e300, 1e300, 0.0, 0.0, 1, 1)
+        points = np.random.default_rng(19).uniform(1, 5, (n, 3))
+        points[0] = (0, 0, 0)  # z == 0, in the caller's first block
+        points[_mid(n)] = (1e10, 0, 1)  # overflows, in the helper's half
+        with np.errstate(over="ignore"):
+            expected = _reference_projection(view, points)
+        for cpus in (1, 2):
+            monkeypatch.setattr(core, "_cpus", lambda: cpus)
+            pix, depth = view.project(points)
+            assert np.array_equal(pix, expected[0]) and np.array_equal(depth, expected[1])
+        assert pix[_mid(n), 0] == np.inf
 
     def test_outputs_are_separate_and_points_unchanged(self):
         view = CameraView.look_at((20, 3, 6), (0, 0, 0), 500.0, 480.0, 319.5, 239.5, 640, 480)

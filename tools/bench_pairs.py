@@ -2,16 +2,17 @@
 
     python3 tools/bench_pairs.py --out BENCH_9.json \
         --workloads objects-2k train-1m eval-100k --seeds 931-940 \
-        --traced objects-2k --traced-seeds 951-952
+        --traced objects-2k
 
 HEAD is unpacked with `git archive` into a temporary directory, which is
 removed at the end. Both sides must have the same benchmark (BENCHMARK.json
 and the paths it lists), or the tool stops before any run. Each pair runs
 perfbench/run.py once on each side, for BENCHMARK.json's run_seconds, with
 this interpreter's full path; pair k runs the parent first when k is even and
-the change first when k is odd. A run that exits non-zero or leaves no
-readable result counts as failed. The output file holds every run's result
-line and machine record, and a summary per workload:
+the change first when k is odd; a workload named by --traced also runs
+traced pairs, on the first TRACED_PAIRS seeds. A run that exits non-zero or
+leaves no readable result counts as failed. The output file holds every run's
+result line and machine record, and a summary per workload:
 median [quartiles] of each side, their ratio, the pairs the change wins, the
 median gap against the parent's interquartile range, `gain` where the change
 meets the rule for claiming one (see `gain`) and, for each end-to-end metric, a
@@ -35,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PARENT = "HEAD"
+TRACED_PAIRS = 2
 COMMAND = "<python3 full path> perfbench/run.py --workload <w> --seed <s> --seconds <run_seconds> --trace <0|1>"
 
 
@@ -141,11 +143,9 @@ def main(argv=None) -> None:
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<n>.json to write")
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", type=seeds, required=True, help="one seed per pair: a or a-b")
-    parser.add_argument("--traced", nargs="*", default=[], help="workloads to run traced too")
-    parser.add_argument("--traced-seeds", type=seeds, default=[])
+    parser.add_argument("--traced", nargs="*", default=[],
+                        help=f"workloads to run traced too, on the first {TRACED_PAIRS} seeds")
     args = parser.parse_args(argv)
-    if bool(args.traced) != bool(args.traced_seeds):
-        parser.error("--traced and --traced-seeds must be given together")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]} | {"op_p50_ms": "lower"}
@@ -159,7 +159,8 @@ def main(argv=None) -> None:
     parent = subprocess.run(["git", "rev-parse", "--short", PARENT], cwd=ROOT, check=True,
                             stdout=subprocess.PIPE, text=True).stdout.strip()
     plan = [(w, pair, s, 0) for w in args.workloads for pair, s in enumerate(args.seeds)]
-    plan += [(w, pair, s, 1) for w in args.traced for pair, s in enumerate(args.traced_seeds)]
+    plan += [(w, pair, s, 1) for w in args.traced
+             for pair, s in enumerate(args.seeds[:TRACED_PAIRS])]
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "parent"
