@@ -7,7 +7,8 @@ already has the field's dtype is not copied: the field views the caller's
 memory, and the caller must not write to its own handle afterwards.
 
 A gaussian's fields, shapes and bounds are written once, in the record table `_GAUSSIAN`.
-Every array argument passes `_field`: real numbers of a shape whose None lengths match any.
+Every array argument but points passes `_field`: real numbers of a shape whose None lengths
+match any. `_points` takes `_real` only: `_field`'s view made the objects-2k op 1.07x slower.
 
 The row kernels `quats_to_rotations`, `covariances_from_arrays`, `GaussianSet.validate`
 and `CameraView.project` (of more than one point) each hand `_split` a function of one
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import contextvars
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain
@@ -106,18 +107,19 @@ def _field(a, shape, name, dtype=np.float64) -> np.ndarray:
     return out
 
 
-_pool = None  # the helper thread of _split, made on first use
-_pool_lock = threading.Lock()
+def _new_pool() -> None:
+    """Make _split's one-thread pool, whose thread starts with its first task.
+
+    Called at import, in a forked child (which has no copy of the parent's
+    thread), and after a submit whose thread failed to start.
+    """
+    global _pool
+    _pool = ThreadPoolExecutor(1, thread_name_prefix="proxysplat")
 
 
-def _drop_pool() -> None:
-    """Forget the pool in a forked child, which has no copy of its thread."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
+_new_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 # Where a container sees its own cgroup's CPU quota: cgroup v2's "quota period" (quota
@@ -164,8 +166,8 @@ def _split(fn, n: int) -> list:
     """[fn(b) for b in _blocks(n)], with the second half of the blocks on a helper thread.
 
     Below 4 * BLOCK rows, or when the process may use fewer than two CPUs (see
-    `_cpus`), every block runs in the calling thread, and no thread is started
-    and nothing imported. Otherwise one helper thread maps `fn` over the
+    `_cpus`), every block runs in the calling thread: no task is submitted, so
+    no thread is started. Otherwise one helper thread maps `fn` over the
     blocks from len(blocks) // 2 on, in a copy of the caller's context, so it
     sees the caller's `np.errstate`, while the calling thread maps it over the
     blocks before them. The call returns or raises only once both halves are
@@ -185,22 +187,15 @@ def _split(fn, n: int) -> list:
     the one helper thread from that thread, and never a public entry point, so
     that those are entered from the calling thread alone.
     """
-    global _pool
     blocks = list(_blocks(n))
     if n < 4 * BLOCK or _cpus() < 2:
         return [*map(fn, blocks)]
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(1, thread_name_prefix="proxysplat")
-        pool = _pool
     half = len(blocks) // 2
     try:
-        tail = pool.submit(contextvars.copy_context().run, list, map(fn, blocks[half:]))
+        tail = _pool.submit(contextvars.copy_context().run, list, map(fn, blocks[half:]))
     except RuntimeError:
         # A pool whose thread failed to start keeps the work queued; it must never run.
-        _pool = None
+        _new_pool()
         return [*map(fn, blocks)]
     try:
         head = [*map(fn, blocks[:half])]

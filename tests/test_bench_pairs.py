@@ -31,6 +31,9 @@ def test_seeds():
     assert bench_pairs.seeds("7") == [7]
     with pytest.raises(argparse.ArgumentTypeError):
         bench_pairs.seeds("940-931")
+    for malformed in ("7-", "-7", "7-8-9", "a-b", ""):
+        with pytest.raises(argparse.ArgumentTypeError):
+            bench_pairs.seeds(malformed)
 
 
 def test_an_empty_seed_range_stops_before_any_run(tmp_path):
@@ -110,6 +113,14 @@ def test_verdict_against_the_bound():
     assert bench_pairs.quartiles(noisy) == [0.0605, 0.0710, 0.0798]
     assert bench_pairs.verdict(noisy, [0.0735] * 5, "lower", 0.25).startswith("unresolved")
     assert bench_pairs.verdict(noisy, [0.0900] * 5, "lower", 0.25).startswith("unresolved")
+    # Unless every run of the change is better than every run of the parent.
+    assert bench_pairs.verdict(noisy, [0.05] * 5, "lower", 0.25) == "within bound 0.25"
+    assert bench_pairs.verdict(noisy, [0.0549] * 5, "lower", 0.25) == "within bound 0.25"
+    assert bench_pairs.verdict(noisy, [0.0549] * 4 + [0.0550], "lower", 0.25).startswith(
+        "unresolved")
+    assert bench_pairs.verdict(noisy, [0.091] * 5, "higher", 0.25) == "within bound 0.25"
+    assert bench_pairs.verdict(noisy, [0.091] * 4 + [0.0900], "higher", 0.25).startswith(
+        "unresolved")
 
 
 def test_summary_gives_a_verdict_only_to_bounded_metrics():

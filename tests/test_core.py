@@ -956,21 +956,55 @@ class TestSplit:
     """The row kernels at the sizes where they split across two threads."""
 
     def test_no_thread_below_the_split_size_or_on_one_cpu(self, monkeypatch):
-        monkeypatch.setattr(core, "_pool", None)
-        gs, view = _split_inputs(20)
-        small = gs.select(slice(4 * BLOCK - 1))
-        small.validate()
-        small.covariances()
-        view.project(small.positions)
-        assert core._pool is None
-        monkeypatch.setattr(core, "_cpus", lambda: 1)
-        gs.validate()
-        serial = gs.covariances(), *view.project(gs.positions)
-        assert core._pool is None
-        monkeypatch.setattr(core, "_cpus", lambda: 2)
-        split = gs.covariances(), *view.project(gs.positions)
-        assert core._pool is not None
+        from concurrent.futures import ThreadPoolExecutor
+
+        submits = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(args)
+                return super().submit(*args, **kwargs)
+
+        pool = Recording(1)
+        monkeypatch.setattr(core, "_pool", pool)
+        try:
+            gs, view = _split_inputs(20)
+            small = gs.select(slice(4 * BLOCK - 1))
+            small.validate()
+            small.covariances()
+            view.project(small.positions)
+            assert not submits
+            monkeypatch.setattr(core, "_cpus", lambda: 1)
+            gs.validate()
+            serial = gs.covariances(), *view.project(gs.positions)
+            assert not submits
+            monkeypatch.setattr(core, "_cpus", lambda: 2)
+            split = gs.covariances(), *view.project(gs.positions)
+            assert len(submits) == 3  # rotations, covariances and project
+        finally:
+            pool.shutdown()
         assert all(np.array_equal(a, b) for a, b in zip(serial, split))
+
+    def test_importing_starts_no_thread(self):
+        import subprocess
+
+        script = (
+            "import threading\n"
+            "counts = [threading.active_count()]\n"
+            "import numpy as np\n"
+            "from proxysplat import core\n"
+            "counts.append(threading.active_count())\n"
+            "core._cpus = lambda: 2\n"
+            "for n in (4 * core.BLOCK - 1, 4 * core.BLOCK + 1):\n"
+            "    core.covariances_from_arrays(np.ones((n, 3)), np.tile([1.0, 0, 0, 0], (n, 1)))\n"
+            "    counts.append(threading.active_count())\n"
+            "print(*counts)\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(core.__file__))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        before, imported, small, split = map(int, out.split())
+        assert before == imported == small  # below the split size, no task and no thread
+        assert split == before + 1  # the first task starts the helper thread
 
     @pytest.mark.parametrize("files, cpus", [
         ({}, 2), ({"cpu.max": "max 100000\n"}, 2), ({"cpu.max": "200000 100000\n"}, 2),
@@ -993,20 +1027,21 @@ class TestSplit:
 
         gs, _ = _split_inputs(26)
         expected = gs.covariances()
-        monkeypatch.setattr(core, "_pool", None)
-        if failure == "interpreter shutdown":  # as in an atexit handler
-            monkeypatch.setattr(concurrent.futures.thread, "_shutdown", True)
-        else:
-            def no_thread(self):
-                raise RuntimeError("can't start new thread")
-            monkeypatch.setattr(threading.Thread, "start", no_thread)
-        assert np.array_equal(gs.covariances(), expected)
-        assert core._pool is None
-        monkeypatch.undo()
-        monkeypatch.setattr(core, "_cpus", lambda: 2)
-        monkeypatch.setattr(core, "_pool", None)
-        assert np.array_equal(gs.covariances(), expected)  # a new pool takes work again
-        assert core._pool is not None
+        failed = concurrent.futures.ThreadPoolExecutor(1)  # a pool whose thread is not started
+        monkeypatch.setattr(core, "_pool", failed)
+        with monkeypatch.context() as m:
+            if failure == "interpreter shutdown":  # as in an atexit handler
+                m.setattr(concurrent.futures.thread, "_shutdown", True)
+            else:
+                def no_thread(self):
+                    raise RuntimeError("can't start new thread")
+                m.setattr(threading.Thread, "start", no_thread)
+            assert np.array_equal(gs.covariances(), expected)
+        assert core._pool is not failed
+        try:
+            assert np.array_equal(gs.covariances(), expected)  # the new pool takes work
+        finally:
+            core._pool.shutdown()
 
     @pytest.mark.parametrize("n", [0, 1, 2, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK + 1],
                              ids=lambda n: f"0-{n}")  # the range [0, n) that the blocks cover
@@ -1136,7 +1171,6 @@ class TestSplit:
     def test_forked_child_splits_on_a_thread_of_its_own(self):
         gs, _ = _split_inputs(25)
         expected = gs.covariances()  # the parent's helper thread exists from here on
-        assert core._pool is not None
         pid = os.fork()
         if pid == 0:  # the child leaves through os._exit, whatever happens
             code = 1

@@ -41,8 +41,11 @@ COMMAND = "<python3 full path> perfbench/run.py --workload <w> --seed <s> --seco
 
 
 def seeds(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    out = list(range(int(lo), int(hi or lo) + 1))
+    lo, sep, hi = text.partition("-")
+    try:
+        out = list(range(int(lo), int(hi if sep else lo) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seeds must be a or a-b, got {text!r}") from None
     if not out:
         raise argparse.ArgumentTypeError(f"the seed range {text} holds no seeds")
     return out
@@ -77,9 +80,11 @@ def quartiles(v: list[float]) -> list[float]:
 def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
     """`worse` when the change's median is worse than the parent's by more than `bound`, as a
     share of the parent's median, else `within`; `unresolved` when the parent's IQR / median
-    is wider than `bound`, since the parent's own spread then hides a change of that size."""
+    is wider than `bound`, since the parent's own spread then hides a change of that size,
+    unless every run of the change is better than every run of the parent."""
     (p1, pm, p3), cm = quartiles(parent), statistics.median(change)
-    if not p3 - p1 <= bound * abs(pm):
+    all_better = max(change) < min(parent) if better == "lower" else min(change) > max(parent)
+    if not p3 - p1 <= bound * abs(pm) and not all_better:
         return f"unresolved (parent IQR {p3 - p1:.4g} > bound {bound} x median {pm:.4g})"
     worse = (cm - pm if better == "lower" else pm - cm) > bound * abs(pm)
     return f"{'worse' if worse else 'within'} bound {bound}"
