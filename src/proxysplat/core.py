@@ -9,6 +9,7 @@ memory, and the caller must not write to its own handle afterwards.
 A gaussian's fields, shapes and bounds are written once, in the record table `_GAUSSIAN`.
 Every array argument but points passes `_field`: real numbers of a shape whose None lengths
 match any. `_points` takes `_real` only: `_field`'s view made the objects-2k op 1.07x slower.
+Every scalar argument passes `_scalar`: one real number, `_field` of shape (), as a float.
 
 The row kernels `quats_to_rotations`, `covariances_from_arrays`, `GaussianSet.validate`
 and `CameraView.project` (of more than one point) each hand `_split` a function of one
@@ -105,6 +106,11 @@ def _field(a, shape, name, dtype=np.float64) -> np.ndarray:
         out = out.view()  # a copy would double the memory of a large set
         out.setflags(write=False)
     return out
+
+
+def _scalar(v, name) -> float:
+    """`v`, one real number (`_field` of shape ()), as a float; else ValueError naming `name`."""
+    return v if isinstance(v, float) else float(_field(v, (), name))
 
 
 def _new_pool() -> None:
@@ -325,7 +331,7 @@ def _rotations_into(R9, q, b) -> None:
 class Point3:
     """A world-space point in meters.
 
-    The components are kept as given, once `_real` has found them real numbers.
+    The components are kept as given, once `_scalar` finds each one real number.
     """
 
     x: float
@@ -333,10 +339,7 @@ class Point3:
     z: float
 
     def __post_init__(self):
-        for name in ("x", "y", "z"):
-            if not isinstance(getattr(self, name), (int, float)):  # numpy's float64 too is real
-                _real(getattr(self, name), name)
-        if not (np.isfinite(self.x) and np.isfinite(self.y) and np.isfinite(self.z)):
+        if not all(abs(_scalar(getattr(self, name), name)) <= _F64_MAX for name in "xyz"):
             raise ValueError("Point3 components must be finite")
 
     def as_array(self) -> np.ndarray:
@@ -354,7 +357,7 @@ class Gaussian3D(_Value):
     scale and color, q.q of the rotation, and the opacity, as Python floats.
     q.q is `_quat_norm2` on Python floats, so a component too large to square
     gives q.q = inf and a ValueError, not an overflow warning. The opacity is
-    kept as given, once `_real` has found it a real number.
+    kept as given, once `_scalar` finds it one real number.
     """
 
     position: np.ndarray
@@ -367,11 +370,9 @@ class Gaussian3D(_Value):
         for name, shape, _, _, _ in _GAUSSIAN:
             if shape:  # opacity stays the scalar it was given
                 object.__setattr__(self, name, _field(getattr(self, name), shape, name))
-        if not isinstance(self.opacity, float):  # a float, numpy's float64 too, is real
-            _real(self.opacity, "opacity")
         n2 = _quat_norm2(*self.rotation.tolist())
         _check_gaussians(self.position.tolist(), self.scale.tolist(), (n2,),
-                         (self.opacity,), self.color.tolist())
+                         (_scalar(self.opacity, "opacity"),), self.color.tolist())
 
 
 def quaternion_to_covariance(g: Gaussian3D) -> np.ndarray:
@@ -526,7 +527,7 @@ class CameraView(_Value):
     samples the image plane at (x=col, y=row). A view holds no image: a
     target photo is a (height, width, 3) `Raster` that the caller pairs
     with its view. The intrinsics fx, fy, cx, cy, width and height are kept
-    as given, once `_real` has found them real numbers.
+    as given, once `_scalar` finds each one real number.
     """
 
     rotation: np.ndarray  # (3, 3) world-to-camera
@@ -541,15 +542,14 @@ class CameraView(_Value):
     def __post_init__(self):
         object.__setattr__(self, "rotation", _field(self.rotation, (3, 3), "rotation"))
         object.__setattr__(self, "translation", _field(self.translation, (3,), "translation"))
-        for name in ("fx", "fy", "cx", "cy", "width", "height"):
-            if not isinstance(getattr(self, name), (int, float)):  # numpy's float64 too is real
-                _real(getattr(self, name), name)
+        fx, fy, cx, cy, width, height = (_scalar(getattr(self, name), name) for name in
+                                         ("fx", "fy", "cx", "cy", "width", "height"))
         # Every check is written so that NaN fails it, as in _check_gaussians.
-        if not all(1 <= v and float(v).is_integer() for v in (self.width, self.height)):
+        if not all(1 <= v and v.is_integer() for v in (width, height)):
             raise ValueError("image width and height must be integers >= 1")
-        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+        if not (0 < fx <= _F64_MAX and 0 < fy <= _F64_MAX):
             raise ValueError("focal lengths must be finite and > 0")
-        if not (-0.5 <= self.cx <= self.width - 0.5 and -0.5 <= self.cy <= self.height - 0.5):
+        if not (-0.5 <= cx <= width - 0.5 and -0.5 <= cy <= height - 0.5):
             raise ValueError("principal point must lie inside the image")
         if not (np.isfinite(self.rotation).all() and np.isfinite(self.translation).all()):
             raise ValueError("extrinsic rotation and translation must be finite")
@@ -701,8 +701,8 @@ def psnr(a, b) -> float:
     BLOCK values through one scratch block, so no full-size temporary is made.
     It runs on one thread: the order of the blocks sets the bits of the sum.
     """
-    arr_a = a.data if isinstance(a, Raster) else _field(a, np.shape(a), "psnr a")
-    arr_b = b.data if isinstance(b, Raster) else _field(b, np.shape(b), "psnr b")
+    arr_a = a.data if isinstance(a, Raster) else _real(a, "psnr a")
+    arr_b = b.data if isinstance(b, Raster) else _real(b, "psnr b")
     if arr_a.shape != arr_b.shape:
         raise ValueError(f"psnr: shape mismatch {arr_a.shape} vs {arr_b.shape}")
     n = arr_a.size

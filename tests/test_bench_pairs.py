@@ -85,6 +85,7 @@ def test_summary_reports_a_failed_run():
             _run("parent", 0, 10.0, 5.0, workload="v"), _run("change", 0, 11.0, 5.0, workload="v")]
     lines = bench_pairs.summary(runs, DIRECTIONS, {})
     assert "== w trace 0: a run failed" in lines
+    assert "  failed runs: change seed 100 exit 0" in lines  # which run, not only that one did
     assert any(line.startswith("== v: 1 pairs;") for line in lines)
 
 

@@ -274,7 +274,8 @@ class TestGaussianInvariants:
         with pytest.raises(ValueError):
             _gaussian(opacity=1.5)
         # Not a real number: a ValueError naming the field, not a TypeError or a complex field.
-        for bad in (np.complex128(0.5), 0.5 + 0j, "0.5", np.array("0.5")):
+        # Nor one number: a (1,) array.
+        for bad in (np.complex128(0.5), 0.5 + 0j, "0.5", np.array("0.5"), np.array([0.5])):
             with pytest.raises(ValueError, match="opacity"):
                 _gaussian(opacity=bad)
         for ok in (0.5, np.float32(0.5), 1, True):
@@ -301,13 +302,15 @@ class TestGaussianInvariants:
         with pytest.raises(ValueError):
             Point3(np.nan, 0.0, 0.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.complex128(1 + 2j), 1 + 0j,
-                                     "1.0"])
+    @pytest.mark.parametrize("bad", [
+        np.nan, np.inf, -np.inf, np.complex128(1 + 2j), 1 + 0j, "1.0",
+        # An int beyond float64, and a (1,) array: not one finite real number.
+        pytest.param(10**400, id="int-1e400"), pytest.param(np.array([1.0]), id="array-1")])
     @pytest.mark.parametrize("index", [0, 1, 2])
     def test_point3_rejects_non_finite_components(self, index, bad):
         xyz = [0.0, 0.0, 0.0]
         xyz[index] = bad
-        match = "xyz"[index] if isinstance(bad, (str, complex)) else None
+        match = None if isinstance(bad, float) else "xyz"[index]
         with pytest.raises(ValueError, match=match):
             Point3(*xyz)
 
@@ -579,7 +582,9 @@ class TestCameraInvariants:
         np.nan, np.inf, -np.inf,
         # numpy orders complex numbers, and Python's raise TypeError when compared.
         pytest.param(np.complex128(50), id="complex128"), pytest.param(50 + 0j, id="complex"),
-        pytest.param("50", id="str")])
+        pytest.param("50", id="str"),
+        # An int beyond float64, and a (1,) array, which project could not use.
+        pytest.param(10**400, id="int-1e400"), pytest.param(np.array([100.0]), id="array-1")])
     @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy"])
     def test_rejects_non_finite_intrinsics(self, field, bad):
         intrinsics = {"fx": 100.0, "fy": 100.0, "cx": 50.0, "cy": 50.0, field: bad}
@@ -631,7 +636,7 @@ class TestCameraInvariants:
         (0, 0), (0, 1), (1, 0), (np.nan, 1), (1, np.nan), (1.5, 2.5), (1, 2.5), (np.inf, 1),
         (1, np.inf), pytest.param("4", 1, id="str-1"), pytest.param(1, "4", id="1-str"),
         pytest.param(np.complex128(4), 1, id="complex128-1"),
-        pytest.param(1, 4 + 0j, id="1-complex")])
+        pytest.param(1, 4 + 0j, id="1-complex"), pytest.param(10**400, 1, id="1e400-1")])
     def test_rejects_resolution_below_one_pixel(self, width, height):
         with pytest.raises(ValueError):
             CameraView(np.eye(3), np.zeros(3), 100, 100, -0.5, -0.5, width, height)

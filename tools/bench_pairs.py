@@ -11,8 +11,9 @@ perfbench/run.py once on each side, for BENCHMARK.json's run_seconds, with
 this interpreter's full path; pair k runs the parent first when k is even and
 the change first when k is odd; a workload named by --traced also runs
 traced pairs, on the first TRACED_PAIRS seeds. A run that exits non-zero or
-leaves no readable result counts as failed. The output file holds every run's
-result line and machine record, and a summary per workload:
+leaves no readable result counts as failed, and the summary names its side,
+seed and exit code. The output file holds every run's result line and machine
+record, and a summary per workload:
 median [quartiles] of each side, their ratio, the pairs the change wins, the
 median gap against the parent's interquartile range, `gain` where the change
 meets the rule for claiming one (see `gain`) and, for each end-to-end metric, a
@@ -105,8 +106,12 @@ def summary(runs: list[dict], directions: dict[str, str], bounds: dict[str, floa
         for trace in (0, 1):
             mine = [r for r in runs if r["workload"] == workload and r["trace"] == trace]
             sides = {s: [r for r in mine if r["side"] == s] for s in ("parent", "change")}
-            if not mine or any(r["result"] is None for r in mine):
-                lines += [f"== {workload} trace {trace}: a run failed"] if mine else []
+            failed = [f"{r['side']} seed {r['seed']} exit {r['returncode']}"
+                      for r in mine if r["result"] is None]
+            if failed:
+                lines += [f"== {workload} trace {trace}: a run failed",
+                          f"  failed runs: {', '.join(failed)}"]
+            if not mine or failed:
                 continue
             counts = {s: (sum(r["result"]["failed"] for r in rs),
                           sum(r["result"]["attempted"] for r in rs)) for s, rs in sides.items()}
