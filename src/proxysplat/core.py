@@ -14,12 +14,12 @@ Every scalar argument passes `_scalar`: one real number, `_field` of shape (), a
 The row kernels `quats_to_rotations`, `covariances_from_arrays`, `GaussianSet.validate`
 and `CameraView.project` (of more than one point) each hand `_split` a function of one
 block of rows, and `_split` calls it on every block of `_blocks(n)`. From 4 * BLOCK rows
-(131 072), when the process may use two CPUs by its affinity mask and cgroup quota, the
-blocks past the middle go to one helper thread. Every block is computed by the same
-operations either way, so the result equals the serial one bit for bit. The helper runs
-only private functions, so every public entry point is entered from the calling thread,
-and a tracer that wraps them sees one thread. `psnr` stays on one thread. Whether a row
-warns depends on that row alone, never on the rows that share its block (see `project`).
+(131 072), whatever the CPU count, the blocks past the middle go to one helper thread.
+Every block is computed by the same operations either way, so the result equals the
+serial one bit for bit. The helper runs only private functions, so every public entry
+point is entered from the calling thread, and a tracer that wraps them sees one thread.
+`psnr` stays on one thread. Whether a row warns depends on that row alone, never on the
+rows that share its block (see `project`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain
 from operator import attrgetter
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -128,31 +127,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
-# Where a container sees its own cgroup's CPU quota: cgroup v2's "quota period" (quota
-# "max" for none), else cgroup v1's quota (-1 for none) and period, in that order.
-_CPU_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
-                    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
-
-
-def _cpus() -> int:
-    """The CPUs this process may use: its affinity mask, capped by a cgroup CPU quota.
-
-    The quota counts whole CPUs, rounded down, so a 1.5-CPU container counts
-    as one; a quota that is absent or unreadable caps nothing.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        n = len(os.sched_getaffinity(0))
-    else:
-        n = os.cpu_count() or 1
-    for paths in _CPU_QUOTA_FILES:
-        try:
-            quota, period = " ".join(Path(p).read_text() for p in paths).split()
-            return n if quota in ("max", "-1") else max(1, min(n, int(quota) // int(period)))
-        except (OSError, ValueError, ZeroDivisionError):
-            continue
-    return n
-
-
 def _blocks(n: int):
     """Slices of BLOCK rows that cover rows [0, n) in order, the last one widened by the rest.
 
@@ -171,16 +145,20 @@ def _blocks(n: int):
 def _split(fn, n: int) -> list:
     """[fn(b) for b in _blocks(n)], with the second half of the blocks on a helper thread.
 
-    Below 4 * BLOCK rows, or when the process may use fewer than two CPUs (see
-    `_cpus`), every block runs in the calling thread: no task is submitted, so
-    no thread is started. Otherwise one helper thread maps `fn` over the
-    blocks from len(blocks) // 2 on, in a copy of the caller's context, so it
-    sees the caller's `np.errstate`, while the calling thread maps it over the
-    blocks before them. The call returns or raises only once both halves are
-    done, so no block writes into a buffer afterwards. numpy releases the GIL
-    in each block-sized ufunc and BLAS call, which is where the two halves
-    overlap. Where the helper takes no work (at interpreter shutdown, or when
-    its thread cannot be started), every block runs in the calling thread.
+    Below 4 * BLOCK rows every block runs in the calling thread: no task is
+    submitted, so no thread is started. Otherwise one helper thread maps `fn`
+    over the blocks from len(blocks) // 2 on, in a copy of the caller's
+    context, so it sees the caller's `np.errstate`, while the calling thread
+    maps it over the blocks before them. The call returns or raises only once
+    both halves are done, so no block writes into a buffer afterwards. numpy
+    releases the GIL in each block-sized ufunc and BLAS call, which is where
+    the two halves overlap. Where the helper takes no work (at interpreter
+    shutdown, or when its thread cannot be started), every block runs in the
+    calling thread.
+
+    The CPU count is not read. On a process pinned to one of 2 vCPUs, with one
+    BLAS thread, 10^6-row `validate` + `covariances` + `project` ops split this
+    way took 0.99-1.01 of the serial time at the median over six processes.
 
     The helper thread lives in a one-thread pool that later calls reuse. A
     thread started per call was slower on 2 vCPUs: 10^6-row `validate` and
@@ -194,7 +172,7 @@ def _split(fn, n: int) -> list:
     that those are entered from the calling thread alone.
     """
     blocks = list(_blocks(n))
-    if n < 4 * BLOCK or _cpus() < 2:
+    if n < 4 * BLOCK:
         return [*map(fn, blocks)]
     half = len(blocks) // 2
     try:
@@ -664,10 +642,15 @@ class CameraView(_Value):
 
 
 def project_point(view: CameraView, p) -> tuple[np.ndarray, float]:
-    """Pinhole projection of one point; depth < 0 flags behind-camera."""
-    if isinstance(p, Point3):
-        p = p.as_array()
-    pix, z = view.project(np.asarray(p).reshape(1, 3))
+    """Pinhole projection of one point; depth < 0 flags behind-camera.
+
+    `p` is a Point3 or one point that `project` takes (see `_points`): a (3,)
+    or (1, 3) array. Any other shape is a ValueError naming `points`.
+    """
+    # The row count is checked after project, so `p` passes `_points` once.
+    pix, z = view.project(p.as_array() if isinstance(p, Point3) else p)
+    if len(z) != 1:
+        raise ValueError(f"points: expected one point, got {len(z)}")
     return pix[0], float(z[0])
 
 

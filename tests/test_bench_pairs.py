@@ -1,5 +1,6 @@
 import argparse
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -53,11 +54,13 @@ def test_traced_pairs_run_on_the_first_two_seeds(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "run", record)
     monkeypatch.setattr(bench_pairs.subprocess, "run",
                         lambda args, **kwargs: subprocess.CompletedProcess(args, 0, stdout=""))
-    bench_pairs.main(["--out", str(tmp_path / "BENCH.json"), "--workloads", "w", "v",
-                      "--seeds", "5-9", "--traced", "w"])
+    argv = ["--out", str(tmp_path / "BENCH.json"), "--workloads", "w", "v",
+            "--seeds", "5-9", "--traced", "w"]
+    bench_pairs.main(argv)
     assert [(w, s) for w, s, _, trace in calls if trace] == [("w", 5)] * 2 + [("w", 6)] * 2
     assert [(w, s) for w, s, _, trace in calls if not trace] == [
         (w, s) for w in "wv" for s in range(5, 10) for _ in "pc"]
+    assert json.loads((tmp_path / "BENCH.json").read_text())["argv"] == argv
 
 
 def test_quartiles():

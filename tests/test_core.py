@@ -46,10 +46,9 @@ def _mid(n):
     return blocks[len(blocks) // 2].start
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Split-size calls take the two-thread path even where one CPU is allowed."""
-    monkeypatch.setattr(core, "_cpus", lambda: 2)
+def _allow_cpus(monkeypatch, cpus):
+    """Give the process an affinity mask of `cpus` CPUs, with or without sched_getaffinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 def _gaussian(position=(0, 0, 0), scale=(1, 1, 1), rotation=(1, 0, 0, 0),
@@ -164,7 +163,6 @@ class TestQuaternionToCovariance:
             eig = np.sort(np.linalg.eigvalsh(cov))
             assert np.allclose(eig, np.sort(scale**2), atol=1e-9)
 
-    @pytest.mark.usefixtures("two_cpus")
     @pytest.mark.parametrize("n, rows", [
         (2000, None), (2 * QUARTER + 1, [0, QUARTER - 1, QUARTER, QUARTER + 1, 2 * QUARTER]),
         (SPLIT_SIZES[0], [0, _mid(SPLIT_SIZES[0]) - 1, _mid(SPLIT_SIZES[0]),
@@ -178,7 +176,6 @@ class TestQuaternionToCovariance:
 
 
 class TestRotationKernel:
-    @pytest.mark.usefixtures("two_cpus")
     @pytest.mark.parametrize("n", [0, 1, 5, QUARTER + 1, *SPLIT_SIZES])
     def test_matches_per_quaternion_formula(self, n):
         scales, quats = _random_params(np.random.default_rng(n), n)
@@ -195,7 +192,6 @@ class TestRotationKernel:
 
 
 class TestCovarianceKernel:
-    @pytest.mark.usefixtures("two_cpus")
     @pytest.mark.parametrize(
         "n", [0, 1, QUARTER - 1, QUARTER, QUARTER + 1, 3 * QUARTER + 5,
               BLOCK - 1, BLOCK, BLOCK + 1, *SPLIT_SIZES])
@@ -227,7 +223,7 @@ class TestCovarianceKernel:
                                          (SPLIT_SIZES[0], 2)])
     def test_rotations_come_from_one_call_over_every_row(self, monkeypatch, n, cpus):
         # One code path for every size and CPU count: no per-block rotation calls.
-        monkeypatch.setattr(core, "_cpus", lambda: cpus)
+        _allow_cpus(monkeypatch, cpus)
         rows = []
 
         def counted(quats):
@@ -464,7 +460,6 @@ class TestProject:
         assert depth[0] == 0.0 and depth[1] < 0.0
         assert np.all(np.isfinite(pix))
 
-    @pytest.mark.usefixtures("two_cpus")
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 10**5, *SPLIT_SIZES])
     def test_matches_reference_at_every_size(self, n):
         # The bits must not change where the matmul switches BLAS paths.
@@ -516,7 +511,7 @@ class TestProject:
         assert np.isinf(seen[0][0]).any() and np.isfinite(seen[1][0]).all()
         assert seen[2][1] == 0.0
 
-    def test_no_pixel_warns_at_the_split_size(self, monkeypatch):
+    def test_no_pixel_warns_at_the_split_size(self):
         # The overflow and the z == 0 row lie in different blocks, on different threads.
         n = SPLIT_SIZES[0]
         view = CameraView(np.eye(3), np.zeros(3), 1e300, 1e300, 0.0, 0.0, 1, 1)
@@ -525,10 +520,8 @@ class TestProject:
         points[_mid(n)] = (1e10, 0, 1)  # overflows, in the helper's half
         with np.errstate(over="ignore"):
             expected = _reference_projection(view, points)
-        for cpus in (1, 2):
-            monkeypatch.setattr(core, "_cpus", lambda: cpus)
-            pix, depth = view.project(points)
-            assert np.array_equal(pix, expected[0]) and np.array_equal(depth, expected[1])
+        pix, depth = view.project(points)
+        assert np.array_equal(pix, expected[0]) and np.array_equal(depth, expected[1])
         assert pix[_mid(n), 0] == np.inf
 
     def test_outputs_are_separate_and_points_unchanged(self):
@@ -547,11 +540,17 @@ class TestProject:
         pix, depth = view.project(np.array([1.0, 2.0, 3.0]))
         assert pix.shape == (1, 2) and depth.shape == (1,)
         assert not np.shares_memory(pix, depth)
-        for shape in ((4, 3, 1), (4, 2), (4, 4), (2,), (4,), ()):
+        one, flat = project_point(view, [[1.0, 2.0, 3.0]]), project_point(view, [1.0, 2.0, 3.0])
+        assert all(map(np.array_equal, one, flat))
+        # (3, 1) and (1, 1, 3) are not points; (2, 3) is two, which only project_point rejects.
+        for shape in ((4, 3, 1), (4, 2), (4, 4), (2,), (4,), (), (3, 1), (1, 1, 3), (2, 3)):
+            if shape != (2, 3):
+                with pytest.raises(ValueError, match="points"):
+                    view.project(np.zeros(shape))
+                with pytest.raises(ValueError, match="points"):
+                    view.to_camera(np.zeros(shape))
             with pytest.raises(ValueError, match="points"):
-                view.project(np.zeros(shape))
-            with pytest.raises(ValueError, match="points"):
-                view.to_camera(np.zeros(shape))
+                project_point(view, np.zeros(shape))
         # Only real numbers: no complex part dropped, no string parsed.
         for bad in (np.array([[1 + 5j, 0, 2]]), np.array([1 + 5j, 0, 2]), ["1", "0", "2"],
                     np.array([[1.0, 0.0, 2.0]], dtype=object)):
@@ -919,7 +918,6 @@ class TestGaussianSet:
             with pytest.raises(ValueError):
                 gs.validate()
 
-    @pytest.mark.usefixtures("two_cpus")
     def test_validate_flags_bad_rows(self):
         gs = GaussianSet(
             np.zeros((1, 3)), np.ones((1, 3)),
@@ -956,11 +954,10 @@ def _split_inputs(seed):
     return gs, view
 
 
-@pytest.mark.usefixtures("two_cpus")
 class TestSplit:
     """The row kernels at the sizes where they split across two threads."""
 
-    def test_no_thread_below_the_split_size_or_on_one_cpu(self, monkeypatch):
+    def test_no_thread_below_the_split_size(self, monkeypatch):
         from concurrent.futures import ThreadPoolExecutor
 
         submits = []
@@ -979,16 +976,12 @@ class TestSplit:
             small.covariances()
             view.project(small.positions)
             assert not submits
-            monkeypatch.setattr(core, "_cpus", lambda: 1)
             gs.validate()
-            serial = gs.covariances(), *view.project(gs.positions)
-            assert not submits
-            monkeypatch.setattr(core, "_cpus", lambda: 2)
-            split = gs.covariances(), *view.project(gs.positions)
-            assert len(submits) == 3  # rotations, covariances and project
+            gs.covariances()
+            view.project(gs.positions)
+            assert len(submits) == 4  # validate, rotations, covariances and project
         finally:
             pool.shutdown()
-        assert all(np.array_equal(a, b) for a, b in zip(serial, split))
 
     def test_importing_starts_no_thread(self):
         import subprocess
@@ -999,7 +992,6 @@ class TestSplit:
             "import numpy as np\n"
             "from proxysplat import core\n"
             "counts.append(threading.active_count())\n"
-            "core._cpus = lambda: 2\n"
             "for n in (4 * core.BLOCK - 1, 4 * core.BLOCK + 1):\n"
             "    core.covariances_from_arrays(np.ones((n, 3)), np.tile([1.0, 0, 0, 0], (n, 1)))\n"
             "    counts.append(threading.active_count())\n"
@@ -1011,27 +1003,16 @@ class TestSplit:
         assert before == imported == small  # below the split size, no task and no thread
         assert split == before + 1  # the first task starts the helper thread
 
-    @pytest.mark.parametrize("files, cpus", [
-        ({}, 2), ({"cpu.max": "max 100000\n"}, 2), ({"cpu.max": "200000 100000\n"}, 2),
-        ({"cpu.max": "150000 100000\n"}, 1), ({"cpu.max": "50000 100000\n"}, 1),
-        ({"cpu.max": "400000 100000\n"}, 2), ({"quota": "-1\n", "period": "100000\n"}, 2),
-        ({"quota": "100000\n", "period": "100000\n"}, 1), ({"cpu.max": "garbled"}, 2),
-        ({"quota": "100000\n"}, 2)])
-    def test_cpus_are_capped_by_the_cgroup_quota(self, monkeypatch, tmp_path, files, cpus):
-        monkeypatch.undo()  # the real _cpus, not the two_cpus fixture's
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        for name, text in files.items():
-            (tmp_path / name).write_text(text)
-        monkeypatch.setattr(core, "_CPU_QUOTA_FILES", (
-            (str(tmp_path / "cpu.max"),), (str(tmp_path / "quota"), str(tmp_path / "period"))))
-        assert core._cpus() == cpus
-
     @pytest.mark.parametrize("failure", ["interpreter shutdown", "thread start"])
     def test_runs_serially_when_the_helper_takes_no_work(self, monkeypatch, failure):
         import concurrent.futures.thread
 
-        gs, _ = _split_inputs(26)
-        expected = gs.covariances()
+        gs, view = _split_inputs(26)
+
+        def outputs():
+            return gs.covariances(), *view.project(gs.positions)
+
+        expected = outputs()  # split, by the pool's thread
         failed = concurrent.futures.ThreadPoolExecutor(1)  # a pool whose thread is not started
         monkeypatch.setattr(core, "_pool", failed)
         with monkeypatch.context() as m:
@@ -1041,10 +1022,10 @@ class TestSplit:
                 def no_thread(self):
                     raise RuntimeError("can't start new thread")
                 m.setattr(threading.Thread, "start", no_thread)
-            assert np.array_equal(gs.covariances(), expected)
+            assert all(map(np.array_equal, outputs(), expected))  # serial
         assert core._pool is not failed
         try:
-            assert np.array_equal(gs.covariances(), expected)  # the new pool takes work
+            assert all(map(np.array_equal, outputs(), expected))  # the new pool takes work
         finally:
             core._pool.shutdown()
 
@@ -1061,11 +1042,11 @@ class TestSplit:
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("n", [0, 1, 4 * BLOCK - 1, *SPLIT_SIZES, 6 * BLOCK + 5])
     def test_split_maps_every_block_once_in_order(self, monkeypatch, cpus, n):
-        monkeypatch.setattr(core, "_cpus", lambda: cpus)
+        _allow_cpus(monkeypatch, cpus)  # the row count alone decides, on one CPU too
         results = core._split(lambda b: (b.start, b.stop, threading.get_ident()), n)
         assert [r[:2] for r in results] == [(b.start, b.stop) for b in core._blocks(n)]
         threads = [r[2] for r in results]
-        if cpus == 2 and n >= SPLIT_SIZES[0]:
+        if n >= SPLIT_SIZES[0]:
             half = len(results) // 2
             assert set(threads[:half]) == {threading.get_ident()}
             assert len(set(threads[half:])) == 1 and threading.get_ident() not in threads[half:]
@@ -1085,13 +1066,11 @@ class TestSplit:
         assert np.isnan(cov[-1]).all()
         assert np.array_equal(cov[:-1], covariances_from_arrays(scales[:-1], quats[:-1]))
 
-    @pytest.mark.parametrize("cpus, n", [
-        pytest.param(1, SPLIT_SIZES[1], id="1"), pytest.param(2, SPLIT_SIZES[1], id="2"),
-        pytest.param(1, 10**5, id="1-100000")])
-    def test_covariances_make_no_full_size_array_besides_the_output(self, monkeypatch, cpus, n):
+    @pytest.mark.parametrize("threads, n", [  # the threads that compute n rows
+        pytest.param(2, SPLIT_SIZES[1], id="2"), pytest.param(1, 10**5, id="1-100000")])
+    def test_covariances_make_no_full_size_array_besides_the_output(self, threads, n):
         import tracemalloc
 
-        monkeypatch.setattr(core, "_cpus", lambda: cpus)
         scales, quats = _random_params(np.random.default_rng(27), n)
         covariances_from_arrays(scales, quats)  # the helper thread, if any, exists from here
         tracemalloc.start()
@@ -1104,7 +1083,7 @@ class TestSplit:
         # block's rows, the size of one block of the output. A full-size copy of the
         # quaternions alone would add 16 columns of BLOCK rows.
         block = 9 * 8 * (n - (n // BLOCK - 1) * BLOCK)  # the widest block, the last one
-        assert peak <= out.nbytes + cpus * block
+        assert peak <= out.nbytes + threads * block
 
     def test_public_calls_come_from_the_calling_thread(self, monkeypatch):
         calls, parts = [], []

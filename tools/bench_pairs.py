@@ -4,6 +4,11 @@
         --workloads objects-2k train-1m eval-100k --seeds 931-940 \
         --traced objects-2k
 
+For a one-CPU record, pin the tool, and so every run it starts, to one CPU:
+
+    taskset -c 0 python3 tools/bench_pairs.py --out BENCH_1cpu.json \
+        --workloads train-1m --seeds 1-10
+
 HEAD is unpacked with `git archive` into a temporary directory, which is
 removed at the end. Both sides must have the same benchmark (BENCHMARK.json
 and the paths it lists), or the tool stops before any run. Each pair runs
@@ -12,8 +17,8 @@ this interpreter's full path; pair k runs the parent first when k is even and
 the change first when k is odd; a workload named by --traced also runs
 traced pairs, on the first TRACED_PAIRS seeds. A run that exits non-zero or
 leaves no readable result counts as failed, and the summary names its side,
-seed and exit code. The output file holds every run's result line and machine
-record, and a summary per workload:
+seed and exit code. The output file holds the tool's own arguments (`argv`),
+every run's result line and machine record, and a summary per workload:
 median [quartiles] of each side, their ratio, the pairs the change wins, the
 median gap against the parent's interquartile range, `gain` where the change
 meets the rule for claiming one (see `gain`) and, for each end-to-end metric, a
@@ -21,8 +26,9 @@ verdict against its BENCHMARK.json bound (see `verdict`). The failed ops get a
 verdict too: `worse` when the change fails a larger share of the ops it
 attempted than the parent does, else `within`. Traced runs are summarised by
 each layer's self time, and by its calls per op where the sides' medians
-differ. Each workload's header gives the CPUs each side's runs could use,
-since the library splits large kernels across two threads when it may.
+differ. Each workload's header gives the CPUs each side's runs could use:
+the library splits a kernel of 4 * BLOCK rows or more between two threads
+on any number of CPUs, but the threads overlap only where two are allowed.
 """
 
 from __future__ import annotations
@@ -155,6 +161,7 @@ def main(argv=None) -> None:
     parser.add_argument("--seeds", type=seeds, required=True, help="one seed per pair: a or a-b")
     parser.add_argument("--traced", nargs="*", default=[],
                         help=f"workloads to run traced too, on the first {TRACED_PAIRS} seeds")
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
@@ -188,7 +195,7 @@ def main(argv=None) -> None:
         "what": "perfbench/run.py, parent commit vs this change, alternating pairs; each run's "
                 "last stdout line (its JSON result) with its workload, seed, side, trace flag, "
                 "and the info and machine record from its results file",
-        "command": COMMAND, "parent": parent,
+        "command": COMMAND, "argv": argv, "parent": parent,
         "pairing": "pair k runs the parent first when k is even and the change first when k is odd",
         "summary": summary(runs, directions, bounds), "runs": runs,
     }
