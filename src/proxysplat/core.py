@@ -7,9 +7,9 @@ already has the field's dtype is not copied: the field views the caller's
 memory, and the caller must not write to its own handle afterwards.
 
 A gaussian's fields, shapes and bounds are written once, in the record table `_GAUSSIAN`.
-Every array argument but points passes `_field`: real numbers of a shape whose None lengths
-match any. `_points` takes `_real` only: `_field`'s view made the objects-2k op 1.07x slower.
-Every scalar argument passes `_scalar`: one real number, `_field` of shape (), as a float.
+Every array and scalar argument passes `_real`: real numbers of a shape whose None lengths
+match any. Only an array that a value object keeps passes `_field`, which adds a read-only
+view; `_scalar` is `_real` of shape (), as a float.
 
 The row kernels `quats_to_rotations`, `covariances_from_arrays`, `GaussianSet.validate`
 and `CameraView.project` (of more than one point) each hand `_split` a function of one
@@ -77,30 +77,31 @@ def _check_gaussians(*values) -> None:
                 raise ValueError(f"gaussian {name} must be {rule}")
 
 
-def _real(a, name, dtype=np.float64) -> np.ndarray:
-    """`a` as a `dtype` array, not a copy when it has `dtype` already.
+def _real(a, name, shape, dtype=np.dtype(np.float64)) -> np.ndarray:
+    """`a` as a `dtype` array of `shape`, a None length matching any; else ValueError.
 
-    Only real numbers (dtype kind b, i, u or f) are taken; any other kind is a
-    ValueError naming `name`, not a lossy cast or a parse.
+    The error names `name`. Only real numbers (dtype kind b, i, u or f) are taken,
+    never by a lossy cast or a parse. A `shape` of None matches any shape (`psnr`'s
+    images). An array that has `dtype` already comes back itself, not a view.
     """
     out = np.asarray(a)
-    if out.dtype != dtype:
+    if out.dtype != dtype:  # the default is a dtype: a type here is converted on each call
         if out.dtype.kind not in "biuf":
             raise ValueError(f"{name}: expected real numbers, got dtype {out.dtype}")
         out = out.astype(dtype)
+    if out.shape != shape and shape is not None and not (
+            out.ndim == len(shape) and all(s in (None, k) for s, k in zip(shape, out.shape))):
+        raise ValueError(f"{name}: expected shape {shape}, got {out.shape}")
     return out
 
 
-def _field(a, shape, name, dtype=np.float64) -> np.ndarray:
-    """`a` as a read-only `_real` array of `shape`; otherwise ValueError naming `name`.
+def _field(a, name, shape, dtype=np.dtype(np.float64)) -> np.ndarray:
+    """`_real(a, name, shape, dtype)` made read-only, for a value object to keep as a field.
 
-    A length of None in `shape` matches any length. Not a copy when `a` has
-    `dtype` already, and a read-only array comes back as it is.
+    A writeable array comes back as a read-only view of it, not a copy, and a
+    read-only one as it is.
     """
-    out = _real(a, name, dtype)
-    if out.shape != shape and not (
-            out.ndim == len(shape) and all(s in (None, k) for s, k in zip(shape, out.shape))):
-        raise ValueError(f"{name}: expected shape {shape}, got {out.shape}")
+    out = _real(a, name, shape, dtype)
     if out.flags.writeable:
         out = out.view()  # a copy would double the memory of a large set
         out.setflags(write=False)
@@ -108,8 +109,8 @@ def _field(a, shape, name, dtype=np.float64) -> np.ndarray:
 
 
 def _scalar(v, name) -> float:
-    """`v`, one real number (`_field` of shape ()), as a float; else ValueError naming `name`."""
-    return v if isinstance(v, float) else float(_field(v, (), name))
+    """`v`, one real number (`_real` of shape ()), as a float; else ValueError naming `name`."""
+    return v if isinstance(v, float) else float(_real(v, name, ()))
 
 
 def _new_pool() -> None:
@@ -193,7 +194,8 @@ class _Value:
 
     Unpickling and `copy.deepcopy` call the constructor with the field values,
     so a copy is checked again and its array fields are read-only views, as
-    in the original.
+    in the original. The subclasses with array fields compare and hash by
+    identity (`eq=False`): == on an array gives no single truth value.
     """
 
     def _columns(self) -> tuple:
@@ -248,15 +250,13 @@ def _covariance_entries(m):
 def _points(points) -> np.ndarray:
     """`points` as an (N,3) `_real` array, one (3,) point as N = 1; other shapes raise.
 
-    Not `_field`: `project_point` calls this once per point and so skips the cost of
-    a read-only view.
+    The ndim picks the shape, so that one point, which `project_point` passes per
+    call, meets an exact shape compare, not the slower None-length match.
     """
-    pts = _real(points, "points")
-    if pts.shape == (3,):
-        return pts.reshape(1, 3)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"points: expected shape (N, 3) or (3,), got {pts.shape}")
-    return pts
+    pts = np.asarray(points)
+    if pts.ndim == 1:
+        return _real(pts, "points", (3,)).reshape(1, 3)
+    return _real(pts, "points", (None, 3))
 
 
 def _pixel(v, f, d, c):
@@ -274,7 +274,7 @@ def _pixel(v, f, d, c):
 
 def quat_to_rotation(q) -> np.ndarray:
     """Rotation matrix from a unit quaternion (w, x, y, z)."""
-    w, x, y, z = _field(q, (4,), "q").tolist()
+    w, x, y, z = _real(q, "q", (4,)).tolist()
     return np.fromiter(_rotation_entries(w, x, y, z), np.float64, 9).reshape(3, 3)
 
 
@@ -287,7 +287,7 @@ def quats_to_rotations(quats: np.ndarray) -> np.ndarray:
     are filled in blocks of BLOCK, split between two threads from 4 * BLOCK
     rows (see `_split`).
     """
-    q = _field(quats, (None, 4), "quats")
+    q = _real(quats, "quats", (None, 4))
     R = np.empty((3, 3, len(q)))
     _split(partial(_rotations_into, R.reshape(9, len(q)), q), len(q))
     return R.transpose(2, 0, 1)
@@ -324,7 +324,7 @@ class Point3:
         return np.array([self.x, self.y, self.z])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gaussian3D(_Value):
     """One splat: position, anisotropic scale, rotation, opacity, RGB color.
 
@@ -347,7 +347,7 @@ class Gaussian3D(_Value):
     def __post_init__(self):
         for name, shape, _, _, _ in _GAUSSIAN:
             if shape:  # opacity stays the scalar it was given
-                object.__setattr__(self, name, _field(getattr(self, name), shape, name))
+                object.__setattr__(self, name, _field(getattr(self, name), name, shape))
         n2 = _quat_norm2(*self.rotation.tolist())
         _check_gaussians(self.position.tolist(), self.scale.tolist(), (n2,),
                          (_scalar(self.opacity, "opacity"),), self.color.tolist())
@@ -385,8 +385,8 @@ def covariances_from_arrays(scales: np.ndarray, quats: np.ndarray) -> np.ndarray
     over all rows is contiguous and every store is a contiguous run. Only the
     strides differ from a C-ordered (N,3,3) array; the values are the same.
     """
-    q = _field(quats, (None, 4), "quats")
-    s = _field(scales, (len(q), 3), "scales")
+    q = _real(quats, "quats", (None, 4))
+    s = _real(scales, "scales", (len(q), 3))
     M = quats_to_rotations(q).transpose(1, 2, 0)
     _split(partial(_covariances_into, M, s), len(q))
     return M.transpose(2, 0, 1)
@@ -406,7 +406,7 @@ def _covariances_into(M, s, b) -> None:
         blk[j, i] = v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianSet(_Value):
     """Columnar set of gaussians; the workhorse container for rendering.
 
@@ -430,7 +430,7 @@ class GaussianSet(_Value):
     def __post_init__(self):
         n = None  # positions may have any length; the other columns must match it
         for f, (_, shape, _, _, _) in zip(fields(self), _GAUSSIAN):
-            object.__setattr__(self, f.name, _field(getattr(self, f.name), (n, *shape), f.name))
+            object.__setattr__(self, f.name, _field(getattr(self, f.name), f.name, (n, *shape)))
             n = len(self.positions)
         if self.building_ids is None:
             ids = np.broadcast_to(np.int32(0), (n,))  # valid by construction, so not checked
@@ -441,7 +441,7 @@ class GaussianSet(_Value):
             if ids.size and not (ids.dtype.kind in "iu" and 0 <= ids.min()
                                  and ids.max() <= np.iinfo(np.int32).max):
                 raise ValueError("building_ids must be integers in [0, 2**31 - 1]")
-        object.__setattr__(self, "building_ids", _field(ids, (n,), "building_ids", np.int32))
+        object.__setattr__(self, "building_ids", _field(ids, "building_ids", (n,), np.int32))
 
     def validate(self) -> None:
         """Raise ValueError unless every row lies within the bounds of `_GAUSSIAN`.
@@ -496,7 +496,7 @@ class GaussianSet(_Value):
         return GaussianSet(*(np.concatenate(c) for c in columns))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CameraView(_Value):
     """Posed pinhole camera. Extrinsics map world to camera space.
 
@@ -518,8 +518,8 @@ class CameraView(_Value):
     height: int
 
     def __post_init__(self):
-        object.__setattr__(self, "rotation", _field(self.rotation, (3, 3), "rotation"))
-        object.__setattr__(self, "translation", _field(self.translation, (3,), "translation"))
+        object.__setattr__(self, "rotation", _field(self.rotation, "rotation", (3, 3)))
+        object.__setattr__(self, "translation", _field(self.translation, "translation", (3,)))
         fx, fy, cx, cy, width, height = (_scalar(getattr(self, name), name) for name in
                                          ("fx", "fy", "cx", "cy", "width", "height"))
         # Every check is written so that NaN fails it, as in _check_gaussians.
@@ -584,7 +584,7 @@ class CameraView(_Value):
         """
         pts = _points(points)
         if len(pts) == 1:
-            x, y, z = self._camera(pts)[:, 0].tolist()
+            x, y, z = self._camera(pts).ravel().tolist()
             d = z if z else _F64_TINY  # falsy at -0.0 too, as z == 0.0 below
             # float() keeps a numpy scalar focal length (say float32) from
             # setting the precision of the products.
@@ -609,8 +609,8 @@ class CameraView(_Value):
 
         One (2,) pixel with a scalar depth is N = 1.
         """
-        pix = _field(np.atleast_2d(pixels), (None, 2), "pixels")
-        z = _field(np.atleast_1d(depths), (len(pix),), "depths")
+        pix = _real(np.atleast_2d(pixels), "pixels", (None, 2))
+        z = _real(np.atleast_1d(depths), "depths", (len(pix),))
         x = (pix[:, 0] - self.cx) * z / self.fx
         y = (pix[:, 1] - self.cy) * z / self.fy
         cam = np.stack([x, y, z], axis=1)
@@ -619,8 +619,8 @@ class CameraView(_Value):
     @staticmethod
     def look_at(eye, target, fx, fy, cx, cy, width, height) -> "CameraView":
         """The view from `eye` to `target`, world +z up; near +-z, world +x stands in for up."""
-        eye = _field(eye, (3,), "eye")
-        target = _field(target, (3,), "target")
+        eye = _real(eye, "eye", (3,))
+        target = _real(target, "target", (3,))
         if not (np.isfinite(eye).all() and np.isfinite(target).all()):
             raise ValueError("eye and target must be finite")
         with np.errstate(over="ignore"):
@@ -654,7 +654,7 @@ def project_point(view: CameraView, p) -> tuple[np.ndarray, float]:
     return pix[0], float(z[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Raster(_Value):
     """Row-major float64 image raster: (H, W) for 1 channel (mask/depth), (H, W, 3) for RGB.
 
@@ -665,10 +665,8 @@ class Raster(_Value):
     data: np.ndarray
 
     def __post_init__(self):
-        shape = np.shape(self.data)
-        if not (len(shape) == 2 or shape[2:] == (3,)):
-            raise ValueError(f"raster data: expected shape (H, W) or (H, W, 3), got {shape}")
-        object.__setattr__(self, "data", _field(self.data, shape, "raster data"))
+        shape = (None, None, 3) if np.ndim(self.data) == 3 else (None, None)
+        object.__setattr__(self, "data", _field(self.data, "raster data", shape))
 
     @staticmethod
     def full(width: int, height: int, value, channels: int = 3) -> "Raster":
@@ -684,8 +682,8 @@ def psnr(a, b) -> float:
     BLOCK values through one scratch block, so no full-size temporary is made.
     It runs on one thread: the order of the blocks sets the bits of the sum.
     """
-    arr_a = a.data if isinstance(a, Raster) else _real(a, "psnr a")
-    arr_b = b.data if isinstance(b, Raster) else _real(b, "psnr b")
+    arr_a = a.data if isinstance(a, Raster) else _real(a, "psnr a", None)
+    arr_b = b.data if isinstance(b, Raster) else _real(b, "psnr b", None)
     if arr_a.shape != arr_b.shape:
         raise ValueError(f"psnr: shape mismatch {arr_a.shape} vs {arr_b.shape}")
     n = arr_a.size

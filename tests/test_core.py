@@ -189,6 +189,9 @@ class TestRotationKernel:
     def test_rejects_shapes_other_than_n_by_4(self, shape):
         with pytest.raises(ValueError):
             quats_to_rotations(np.ones(shape))
+        # quat_to_rotation takes one (4,) quaternion, and no other shape, by name.
+        with pytest.raises(ValueError, match="^q:"):
+            quat_to_rotation(np.ones((1, 4) if shape == (4,) else shape))
 
 
 class TestCovarianceKernel:
@@ -244,6 +247,10 @@ class TestCovarianceKernel:
         # Neither a complex nor a string array is cast to float64.
         with pytest.raises(ValueError, match="quats"):
             covariances_from_arrays(scales, quats + 0j)
+        with pytest.raises(ValueError, match="quats"):
+            quats_to_rotations(quats + 0j)
+        with pytest.raises(ValueError, match="^q:"):
+            quat_to_rotation(quats[0] + 0j)
         with pytest.raises(ValueError, match="scales"):
             covariances_from_arrays(scales.astype(str), quats)
 
@@ -342,7 +349,8 @@ class TestGaussianInvariants:
         assert arrays[field].flags.writeable  # the caller's own array is left as it was
         assert np.shares_memory(getattr(g, field), arrays[field])  # a view, not a copy
         # Only real numbers are taken: a complex or string field is refused, not cast.
-        for bad in (arrays[field] + 0j, arrays[field].astype(str)):
+        # Nor is a field of another shape.
+        for bad in (arrays[field] + 0j, arrays[field].astype(str), arrays[field][:2]):
             with pytest.raises(ValueError, match=field):
                 Gaussian3D(opacity=1.0, **{**arrays, field: bad})
 
@@ -415,6 +423,10 @@ class TestProjectPoint:
             view.unproject(np.zeros((4, 2)), np.ones(3))
         with pytest.raises(ValueError, match="depths"):
             view.unproject(np.zeros((4, 2)), 1.0)
+        with pytest.raises(ValueError, match="pixels"):
+            view.unproject(np.zeros((4, 2)) + 0j, np.ones(4))
+        with pytest.raises(ValueError, match="depths"):
+            view.unproject(np.zeros((4, 2)), np.ones(4) + 0j)
 
     def test_camera_center_projects_through(self):
         view = CameraView.look_at((3, 2, 1), (0, 0, 0), 100, 100, 50, 50, 100, 100)
@@ -621,14 +633,19 @@ class TestCameraInvariants:
         with pytest.raises(ValueError, match="coincide"):
             CameraView.look_at((1e308, 0, 0), (1e308, 0, 0), 100, 100, 50, 50, 100, 100)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, pytest.param(1j, id="complex"),
+                                     pytest.param(None, id="dropped")])
     @pytest.mark.parametrize("index", [0, 1, 2])
     @pytest.mark.parametrize("arg", ["eye", "target"])
     def test_look_at_rejects_non_finite_eye_and_target(self, arg, index, bad):
         # Warnings are errors in this suite, so a warning before the ValueError fails here.
+        # A complex component, or a dropped one (a (2,) point), is refused by name.
         points = {"eye": [3.0, 2.0, 1.0], "target": [0.0, 0.0, 0.0]}
-        points[arg][index] = bad
-        with pytest.raises(ValueError, match="finite"):
+        if bad is None:
+            del points[arg][index]
+        else:
+            points[arg][index] = bad
+        with pytest.raises(ValueError, match="finite" if isinstance(bad, float) else f"^{arg}:"):
             CameraView.look_at(points["eye"], points["target"], 100, 100, 50, 50, 100, 100)
 
     @pytest.mark.parametrize("width, height", [
@@ -647,6 +664,11 @@ class TestCameraInvariants:
         with pytest.raises(ValueError):
             getattr(view, field)[0] = 0.5
         assert arrays[field].flags.writeable  # the caller's own array is left as it was
+        # A field of another shape, or of complex numbers, is refused by name.
+        for bad in (arrays[field][:2], arrays[field] + 0j):
+            with pytest.raises(ValueError, match=f"^{field}:"):
+                CameraView(fx=100, fy=100, cx=1.5, cy=1.0, width=4, height=3,
+                           **{**arrays, field: bad})
 
 
 class TestPsnr:
@@ -1190,9 +1212,21 @@ class TestSplit:
 def test_copies_keep_values_and_read_only_fields(value, clone):
     other = clone(value)
     assert type(other) is type(value)
+    # Compared and hashed by identity: an array field does not make == or hash raise.
+    assert isinstance(value == other, bool) and len({value, other, value}) == 2
     for a, b in zip(other._columns(), value._columns()):
         if isinstance(b, np.ndarray):
             assert np.array_equal(a, b) and a.dtype == b.dtype
             assert not a.flags.writeable
         else:
             assert a == b
+
+
+def test_only_a_kept_array_becomes_a_read_only_view():
+    # `_real` checks every array argument and hands a float64 array of the right shape
+    # back as it is; `_field`, for the arrays a value keeps, adds a read-only view of it.
+    a = np.zeros((2, 3))
+    assert core._real(a, "a", (None, 3)) is a and a.flags.writeable
+    kept = core._field(a, "a", (None, 3))
+    assert kept.base is a and not kept.flags.writeable and a.flags.writeable
+    assert core._field(kept, "a", (2, 3)) is kept  # already read-only: no second view
