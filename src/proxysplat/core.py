@@ -60,6 +60,8 @@ _GAUSSIAN = (
     ("opacity", (), 0.0, 1.0, "in [0, 1]"),
     ("color", (3,), 0.0, 1.0, "in [0, 1]"),
 )
+((_POSITION, _POSITION_SHAPE), (_SCALE, _SCALE_SHAPE), (_ROTATION, _ROTATION_SHAPE),
+ (_OPACITY, _), (_COLOR, _COLOR_SHAPE)) = (row[:2] for row in _GAUSSIAN)  # for Gaussian3D
 
 
 def _check_gaussians(*values) -> None:
@@ -324,18 +326,17 @@ class Point3:
         return np.array([self.x, self.y, self.z])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Gaussian3D(_Value):
     """One splat: position, anisotropic scale, rotation, opacity, RGB color.
 
     Color is view-independent (spherical harmonics degree 0).
 
-    The fields are checked against the same _GAUSSIAN table as
-    `GaussianSet.validate`, read value by value: each component of position,
-    scale and color, q.q of the rotation, and the opacity, as Python floats.
-    q.q is `_quat_norm2` on Python floats, so a component too large to square
-    gives q.q = inf and a ValueError, not an overflow warning. The opacity is
-    kept as given, once `_scalar` finds it one real number.
+    Each field is set once, in `__init__`. The fields are checked against the same _GAUSSIAN
+    table as `GaussianSet.validate`, read value by value: each component of position, scale
+    and color, q.q of the rotation, and the opacity, as Python floats. q.q is `_quat_norm2` on
+    Python floats, so a component too large to square gives q.q = inf and a ValueError, not
+    an overflow warning. The opacity is kept as given, once `_scalar` finds it one real number.
     """
 
     position: np.ndarray
@@ -344,25 +345,28 @@ class Gaussian3D(_Value):
     opacity: float
     color: np.ndarray
 
-    def __post_init__(self):
-        for name, shape, _, _, _ in _GAUSSIAN:
-            if shape:  # opacity stays the scalar it was given
-                object.__setattr__(self, name, _field(getattr(self, name), name, shape))
-        n2 = _quat_norm2(*self.rotation.tolist())
-        _check_gaussians(self.position.tolist(), self.scale.tolist(), (n2,),
-                         (_scalar(self.opacity, "opacity"),), self.color.tolist())
+    def __init__(self, position, scale, rotation, opacity, color):
+        set_ = object.__setattr__  # unrolled: a loop over _GAUSSIAN was about 1.1x slower
+        set_(self, "position", position := _field(position, _POSITION, _POSITION_SHAPE))
+        set_(self, "scale", scale := _field(scale, _SCALE, _SCALE_SHAPE))
+        set_(self, "rotation", rotation := _field(rotation, _ROTATION, _ROTATION_SHAPE))
+        set_(self, "opacity", opacity)
+        set_(self, "color", color := _field(color, _COLOR, _COLOR_SHAPE))
+        _check_gaussians(position.tolist(), scale.tolist(), (_quat_norm2(*rotation.tolist()),),
+                         (_scalar(opacity, _OPACITY),), color.tolist())
 
 
 def quaternion_to_covariance(g: Gaussian3D) -> np.ndarray:
     """3x3 covariance R diag(scale^2) R^T = M M^T of a gaussian's ellipsoid.
 
-    M = R diag(scale) and its products are computed on Python floats with the
-    formulas of covariances_from_arrays, so the result equals that gaussian's
-    row of the kernel exactly.
+    M = R diag(scale) and its products are computed on Python floats with the formulas of
+    covariances_from_arrays, so the result equals that gaussian's row of the kernel exactly.
+    The nine rotation entries are evaluated once, into a list; M's rows are entries * scale.
     """
-    s = g.scale.tolist()
-    r = _rotation_entries(*g.rotation.tolist())
-    m = [[next(r) * sk for sk in s] for _ in range(3)]
+    s0, s1, s2 = g.scale.tolist()
+    r = [*_rotation_entries(*g.rotation.tolist())]
+    m = ((r[0] * s0, r[1] * s1, r[2] * s2), (r[3] * s0, r[4] * s1, r[5] * s2),
+         (r[6] * s0, r[7] * s1, r[8] * s2))
     c00, c01, c02, c11, c12, c22 = _covariance_entries(m)
     return np.array([c00, c01, c02, c01, c11, c12, c02, c12, c22]).reshape(3, 3)
 
@@ -577,20 +581,18 @@ class CameraView(_Value):
         values. From 4 * BLOCK points the blocks are split between two threads
         (see `_split`), which gives the serial result bit for bit.
 
-        One point's pixel steps run on Python floats, the same operations in
-        the same order as the broadcast path's. Its R p + t is a one-column
-        product (BLAS gemv), whose low bits can differ from its row of a
-        batch. Its pixels and depth are fresh (1,2) and (1,) arrays, not views.
+        One point's pixel steps run on Python floats, the same operations in the same order
+        as the broadcast path's. Its R p + t is a (3,) gemv, equal bit for bit to `to_camera`'s
+        (3,1) product, whose low bits can differ from the point's row of a batch. Its pixels
+        and depth are fresh (1,2) and (1,) arrays, not views.
         """
         pts = _points(points)
         if len(pts) == 1:
-            x, y, z = self._camera(pts).ravel().tolist()
+            x, y, z = (self.rotation @ pts[0] + self.translation).tolist()
             d = z if z else _F64_TINY  # falsy at -0.0 too, as z == 0.0 below
-            # float() keeps a numpy scalar focal length (say float32) from
-            # setting the precision of the products.
+            # float(): a float32 focal length, say, must not set the products' precision.
             return (np.array([[_pixel(x, float(self.fx), d, float(self.cx)),
-                               _pixel(y, float(self.fy), d, float(self.cy))]]),
-                    np.array([z]))
+                               _pixel(y, float(self.fy), d, float(self.cy))]]), np.array([z]))
         cam = np.empty((3, len(pts)))
         f, c = np.array([[self.fx], [self.fy]]), np.array([[self.cx], [self.cy]])
         _split(partial(self._project_into, cam, pts, f, c), len(pts))
@@ -702,6 +704,4 @@ def psnr(a, b) -> float:
     mse = sse / n
     if not np.isfinite(mse):
         raise ValueError(f"psnr: mean squared error is {mse}; the images hold NaN or inf")
-    if mse == 0.0:
-        return PSNR_CAP
-    return min(PSNR_CAP, 10.0 * np.log10(1.0 / mse))
+    return PSNR_CAP if mse == 0.0 else float(min(PSNR_CAP, 10.0 * np.log10(1.0 / mse)))

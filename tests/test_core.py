@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -38,6 +39,7 @@ F64_MAX = np.finfo(np.float64).max
 # each would cross a block edge of a kernel that cut its rows into quarter BLOCKs.
 QUARTER = BLOCK // 4
 SPLIT_SIZES = [4 * BLOCK + 1, 4 * BLOCK + 7]  # the smallest sizes the row kernels split
+GAUSSIAN_FIELDS = [f.name for f in dataclasses.fields(Gaussian3D)]
 
 
 def _mid(n):
@@ -283,6 +285,10 @@ class TestGaussianInvariants:
                 _gaussian(opacity=bad)
         for ok in (0.5, np.float32(0.5), 1, True):
             assert _gaussian(opacity=ok).opacity is ok  # kept as given
+        # A copy with one field replaced is built by the constructor, so it is checked too.
+        assert list(inspect.signature(Gaussian3D).parameters) == GAUSSIAN_FIELDS
+        with pytest.raises(ValueError, match="opacity"):
+            dataclasses.replace(_gaussian(), opacity=2.0)
 
     def test_rejects_color_out_of_range(self):
         with pytest.raises(ValueError):
@@ -292,14 +298,18 @@ class TestGaussianInvariants:
     @pytest.mark.parametrize("field, index", _component_params(
         {"position": 3, "scale": 3, "rotation": 4, "opacity": 1, "color": 3}, first=True))
     def test_rejects_non_finite(self, field, index, bad):
-        if field == "opacity":
-            kwargs = {"opacity": bad}
-        else:
-            value = getattr(_gaussian(), field).copy()
-            value[index] = bad
-            kwargs = {field: value}
-        with pytest.raises(ValueError):
-            _gaussian(**kwargs)
+        def spoiled(name):
+            if name == "opacity":
+                return bad
+            value = getattr(_gaussian(), name).copy()
+            value[index % len(value)] = bad
+            return value
+
+        # Alone, or with every field after it bad too: the first bad field is the one named.
+        later = GAUSSIAN_FIELDS[GAUSSIAN_FIELDS.index(field):]
+        for names in (later[:1], later):
+            with pytest.raises(ValueError, match=f"gaussian {field} "):
+                _gaussian(**{name: spoiled(name) for name in names})
 
     def test_point3_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -343,16 +353,21 @@ class TestGaussianInvariants:
     def test_fields_are_read_only(self, field):
         arrays = {"position": np.zeros(3), "scale": np.ones(3),
                   "rotation": np.array([1.0, 0, 0, 0]), "color": np.ones(3)}
-        g = Gaussian3D(opacity=1.0, **arrays)
+        g = Gaussian3D(opacity=1.0, **arrays)  # by keyword, the opacity out of field order
         with pytest.raises(ValueError):
             getattr(g, field)[0] = 0.5
         assert arrays[field].flags.writeable  # the caller's own array is left as it was
         assert np.shares_memory(getattr(g, field), arrays[field])  # a view, not a copy
         # Only real numbers are taken: a complex or string field is refused, not cast.
-        # Nor is a field of another shape.
-        for bad in (arrays[field] + 0j, arrays[field].astype(str), arrays[field][:2]):
-            with pytest.raises(ValueError, match=field):
-                Gaussian3D(opacity=1.0, **{**arrays, field: bad})
+        # Nor is a field of another shape. With every array field after it and the
+        # opacity bad too, the first bad field is the one named.
+        names = list(arrays)
+        later = names[names.index(field):]
+        for bad in (lambda a: a + 0j, lambda a: a.astype(str), lambda a: a[:2]):
+            with pytest.raises(ValueError, match=f"^{field}: "):
+                Gaussian3D(opacity=1.0, **{**arrays, field: bad(arrays[field])})
+            with pytest.raises(ValueError, match=f"^{field}: "):
+                Gaussian3D(opacity="1.0", **{**arrays, **{n: bad(arrays[n]) for n in later}})
 
     @pytest.mark.parametrize("edge", ["low", "high"])
     def test_bounds_are_closed_at_their_nearest_float(self, edge):
@@ -535,6 +550,24 @@ class TestProject:
         pix, depth = view.project(points)
         assert np.array_equal(pix, expected[0]) and np.array_equal(depth, expected[1])
         assert pix[_mid(n), 0] == np.inf
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=hnp.arrays(np.float64, 3, elements=st.floats(-1e3, 1e3)),
+           eye=hnp.arrays(np.float64, 3, elements=st.floats(-50, 50)),
+           f=st.floats(1, 1e4), c=st.floats(0, 639))
+    def test_one_point_equals_its_to_camera_bit_for_bit(self, p, eye, f, c):
+        # One point's R p + t is a (3,) product; to_camera's is a (3,1) one. Its depth,
+        # and its pixel recomputed from to_camera by _pixel, must keep the same bits.
+        assume(np.abs(eye).max() > 1e-3)
+        view = CameraView.look_at(eye, (0.0, 0.0, 0.0), f, 1.5 * f, c, c / 2, 640, 480)
+        x, y, z = view.to_camera(p)[0].tolist()
+        d = z if z else core._F64_TINY
+        expected = np.array([[core._pixel(x, float(view.fx), d, float(view.cx)),
+                              core._pixel(y, float(view.fy), d, float(view.cy))]])
+        for point in (p, p[None]):
+            pix, depth = view.project(point)
+            assert pix.tobytes() == expected.tobytes()
+            assert depth.tobytes() == np.array([z]).tobytes()
 
     def test_outputs_are_separate_and_points_unchanged(self):
         view = CameraView.look_at((20, 3, 6), (0, 0, 0), 500.0, 480.0, 319.5, 239.5, 640, 480)
@@ -743,6 +776,13 @@ class TestPsnr:
     def test_constant_offset_at_full_resolution(self, delta):
         a = np.random.default_rng(4).uniform(0, 0.8, (480, 640, 3))
         assert abs(psnr(a, a + delta) + 20 * np.log10(delta)) <= 1e-9
+
+    def test_returns_a_python_float_on_every_path(self):
+        a = np.zeros((2, 2))
+        # Below the cap, at it by min(), and at it for zero error.
+        for b in (a + 0.1, a + 1e-6, a):
+            assert type(psnr(a, b)) is float
+        assert psnr(a, a + 0.1) == pytest.approx(20.0)
 
     def test_symmetry_and_noise_monotonicity(self):
         rng = np.random.default_rng(3)
